@@ -13,9 +13,9 @@ from .evaluation import (ConfusionMatrix, Fixture, PRPoint,
                          phi_coefficient, pr_curve, precision, recall)
 from .huffman import HuffmanTree, build_huffman_tree
 from .metonymy import (DEFAULT_VERBS, CandidateSentence, MetonymyTarget,
-                       VerbSpec, find_targets, harvest_candidates,
-                       load_gold_targets, object_np_after,
-                       validate_direct_object)
+                       VerbObjectIndex, VerbSpec, find_targets,
+                       harvest_candidates, index_corpus, load_gold_targets,
+                       object_np_after, validate_direct_object)
 from .ranking import (DISCARD_THRESHOLD, VIABLE_THRESHOLD, RankingTable,
                       ScoredCandidate, label_for, rank, score_candidate,
                       write_table)
@@ -35,8 +35,9 @@ __all__ = [
     "ConfusionMatrix", "Fixture", "PRPoint", "UndefinedMetricError",
     "confusion", "load_fixture", "phi_coefficient", "pr_curve",
     "precision", "recall",
-    "DEFAULT_VERBS", "CandidateSentence", "MetonymyTarget", "VerbSpec",
-    "find_targets", "harvest_candidates", "load_gold_targets",
+    "DEFAULT_VERBS", "CandidateSentence", "MetonymyTarget",
+    "VerbObjectIndex", "VerbSpec", "find_targets", "harvest_candidates",
+    "index_corpus", "load_gold_targets",
     "object_np_after", "validate_direct_object",
     "DISCARD_THRESHOLD", "VIABLE_THRESHOLD", "RankingTable",
     "ScoredCandidate", "label_for", "rank", "score_candidate", "write_table",

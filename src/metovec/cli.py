@@ -138,17 +138,18 @@ def cmd_paraphrase(args):
         "gold_targets": args.gold_targets})
     corp = _load(config.test_corpus, config.corpus_format)
     model = load_model(args.model)
+    index = metonymy.index_corpus(corp)
     if config.gold_targets:
-        targets = metonymy.load_gold_targets(config.gold_targets, corp)
+        targets = metonymy.load_gold_targets(config.gold_targets, index)
     else:
-        targets = metonymy.find_targets(corp, config.verb_specs())
+        targets = metonymy.find_targets(index, config.verb_specs())
     excluded = {spec.lemma for spec in config.verb_specs()}
     outdir = Path(config.output_dir if args.output_dir is None
                   else args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for n, target in enumerate(targets, start=1):
         candidates = metonymy.harvest_candidates(
-            corp, target.np_head_lemma, excluded)
+            index, target.np_head_lemma, excluded)
         table = ranking.rank(model, target, candidates,
                              config.discard_threshold,
                              config.viable_threshold)

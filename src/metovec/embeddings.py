@@ -301,6 +301,10 @@ def save_model(model: EmbeddingModel, path):
     and V-1 node rows in the same layout.  A trailing ``#counts`` section
     stores the vocabulary frequencies so the Huffman tree (and with it
     leaf_probability and resumed training) is reproducible after a load.
+    Fields are space-separated, but a word may itself contain spaces (the
+    vertical corpus format allows a lemma like ``ice cream``): the last D
+    fields of a row are the vector, the last field of a ``#counts`` row
+    the count, and everything before them is the word.
     """
     v, d = model.input_vectors.shape
     with open(path, "w", encoding="utf-8") as out:
@@ -330,7 +334,7 @@ def load_model(path) -> EmbeddingModel:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
 
     def parse_row(line, label):
-        fields = line.split(" ")
+        fields = line.rsplit(" ", d)
         if len(fields) != d + 1:
             raise ValueError(f"{path}: bad {label} row {fields[0]!r}")
         return fields[0], [float(x) for x in fields[1:]]
@@ -347,10 +351,12 @@ def load_model(path) -> EmbeddingModel:
         raise ValueError(f"{path}: missing #counts sentinel")
     counts = []
     for line in lines[2 + 2 * v:]:
-        word, count = line.split(" ")
+        word, count = line.rsplit(" ", 1)
         counts.append(int(count))
 
     vocab = Vocabulary(words=tuple(words), counts=tuple(counts),
                        total_tokens=sum(counts), max_size=max(v, 1))
     config = TrainingConfig(dim=d)
-    return EmbeddingModel(np.array(inputs), np.array(nodes), vocab, config)
+    return EmbeddingModel(np.array(inputs),
+                          np.array(nodes, dtype=float).reshape(v - 1, d),
+                          vocab, config)

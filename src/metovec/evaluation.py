@@ -43,6 +43,15 @@ class PRPoint:
     recall: float
 
 
+def _paired(first, second, first_name, second_name):
+    """zip of two parallel sequences that must have the same length."""
+    first, second = list(first), list(second)
+    if len(first) != len(second):
+        raise ValueError(f"{len(first)} {first_name} but "
+                         f"{len(second)} {second_name}")
+    return zip(first, second, strict=True)
+
+
 def confusion(labels, gold, unscored="exclude") -> ConfusionMatrix:
     """Tally predictions (positive iff label == Viable) against gold.
 
@@ -54,7 +63,8 @@ def confusion(labels, gold, unscored="exclude") -> ConfusionMatrix:
     if unscored not in ("exclude", "true-negative"):
         raise ValueError(f"unknown unscored policy {unscored!r}")
     tp = tn = fp = fn = 0
-    for idx, (label, is_positive) in enumerate(zip(labels, gold)):
+    for idx, (label, is_positive) in enumerate(
+            _paired(labels, gold, "labels", "gold labels")):
         if label == NOT_IN_VOCAB:
             if unscored == "true-negative":
                 tn += 1
@@ -104,7 +114,7 @@ def pr_curve(scored_rows, gold=None) -> list[PRPoint]:
     the number of gold-positive rows overall.
     """
     if gold is not None:  # parallel-sequence form
-        scored_rows = list(zip(scored_rows, gold))
+        scored_rows = list(_paired(scored_rows, gold, "scores", "gold labels"))
     ranked = sorted(scored_rows, key=lambda pair: -pair[0])
     total_positive = sum(1 for _, pos in ranked if pos)
     if total_positive == 0:

@@ -120,50 +120,88 @@ def _governed_pairs(sentence: Sentence):
             yield pos, np_span, head
 
 
-def find_targets(corpus: Corpus, verbs=DEFAULT_VERBS) -> list[MetonymyTarget]:
-    """All (metonymic verb, object NP) occurrences in document order."""
-    verb_lemmas = {spec.lemma for spec in verbs}
-    targets = []
+@dataclass(frozen=True)
+class VerbObjectIndex:
+    """Every validated (verb, object NP) pair of a corpus, found in one pass.
+
+    ``pairs`` holds them in document order, ``by_head`` per NP head lemma
+    (document order within a head) and ``by_ref`` per sentence ref, with an
+    empty tuple for a sentence that has none.  Built by ``index_corpus``.
+    """
+
+    pairs: tuple[CandidateSentence, ...]
+    by_head: dict[str, tuple[CandidateSentence, ...]]
+    by_ref: dict[tuple[str, int], tuple[CandidateSentence, ...]]
+
+
+def index_corpus(corpus: Corpus) -> VerbObjectIndex:
+    """Run ``_governed_pairs`` once per sentence and index the pairs."""
+    pairs = []
+    by_head = {}
+    by_ref = {}
     for sentence in corpus:
-        for pos, np_span, head in _governed_pairs(sentence):
-            if sentence.tokens[pos].lemma in verb_lemmas:
-                targets.append(MetonymyTarget(
-                    verb_lemma=sentence.tokens[pos].lemma,
-                    verb_position=pos,
-                    np_head_lemma=head,
-                    np_span=np_span,
-                    sentence_ref=sentence.ref,
-                ))
-    return targets
+        found = tuple(
+            CandidateSentence(
+                verb_lemma=sentence.tokens[pos].lemma,
+                verb_position=pos,
+                np_head_lemma=head,
+                np_span=np_span,
+                sentence_ref=sentence.ref,
+                validated=True,
+            )
+            for pos, np_span, head in _governed_pairs(sentence))
+        # a ref repeated in the corpus resolves to its last sentence
+        by_ref[sentence.ref] = found
+        for pair in found:
+            by_head.setdefault(pair.np_head_lemma, []).append(pair)
+        pairs.extend(found)
+    return VerbObjectIndex(
+        pairs=tuple(pairs),
+        by_head={head: tuple(found) for head, found in by_head.items()},
+        by_ref=by_ref)
 
 
-def harvest_candidates(corpus: Corpus, np_head: str,
+def _as_index(corpus) -> VerbObjectIndex:
+    if isinstance(corpus, VerbObjectIndex):
+        return corpus
+    return index_corpus(corpus)
+
+
+def _as_target(pair: CandidateSentence) -> MetonymyTarget:
+    return MetonymyTarget(pair.verb_lemma, pair.verb_position,
+                          pair.np_head_lemma, pair.np_span, pair.sentence_ref)
+
+
+def find_targets(corpus, verbs=DEFAULT_VERBS) -> list[MetonymyTarget]:
+    """All (metonymic verb, object NP) occurrences in document order.
+
+    ``corpus`` is a Corpus or the VerbObjectIndex of one.
+    """
+    verb_lemmas = {spec.lemma for spec in verbs}
+    return [_as_target(pair) for pair in _as_index(corpus).pairs
+            if pair.verb_lemma in verb_lemmas]
+
+
+def harvest_candidates(corpus, np_head: str,
                        excluded_verbs=frozenset()) -> list[CandidateSentence]:
     """Sentences where some non-excluded verb governs an NP headed by
-    ``np_head``; one candidate per (verb, NP) occurrence."""
+    ``np_head``; one candidate per (verb, NP) occurrence, in document order.
+
+    ``corpus`` is a Corpus or the VerbObjectIndex of one; pass the index
+    when harvesting for many heads, so the corpus is scanned only once.
+    """
     if not np_head:
         raise ValueError("np_head must be non-empty")
-    candidates = []
-    for sentence in corpus:
-        for pos, np_span, head in _governed_pairs(sentence):
-            verb = sentence.tokens[pos].lemma
-            if head == np_head and verb not in excluded_verbs:
-                candidates.append(CandidateSentence(
-                    verb_lemma=verb,
-                    verb_position=pos,
-                    np_head_lemma=head,
-                    np_span=np_span,
-                    sentence_ref=sentence.ref,
-                    validated=True,
-                ))
-    return candidates
+    return [pair for pair in _as_index(corpus).by_head.get(np_head, ())
+            if pair.verb_lemma not in excluded_verbs]
 
 
-def load_gold_targets(path, corpus: Corpus) -> list[MetonymyTarget]:
+def load_gold_targets(path, corpus) -> list[MetonymyTarget]:
     """Parse a gold-target file: ``doc_id<TAB>index<TAB>verb<TAB>np_head``
-    per line.  Each record must resolve to a (verb, NP) pair in ``corpus``.
+    per line.  Each record must resolve to a (verb, NP) pair in ``corpus``,
+    a Corpus or the VerbObjectIndex of one.
     """
-    by_ref = {sentence.ref: sentence for sentence in corpus}
+    by_ref = _as_index(corpus).by_ref
     targets = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -181,21 +219,16 @@ def load_gold_targets(path, corpus: Corpus) -> list[MetonymyTarget]:
             except ValueError:
                 raise CorpusFormatError(
                     path, lineno, f"bad sentence index {index_str!r}") from None
-            sentence = by_ref.get((doc_id, index))
-            if sentence is None:
+            pairs = by_ref.get((doc_id, index))
+            if pairs is None:
                 raise CorpusFormatError(
                     path, lineno, f"no sentence ({doc_id!r}, {index})")
-            target = _locate_target(sentence, verb, np_head)
+            target = next((_as_target(pair) for pair in pairs
+                           if pair.verb_lemma == verb
+                           and pair.np_head_lemma == np_head), None)
             if target is None:
                 raise CorpusFormatError(
                     path, lineno,
                     f"no ({verb!r}, {np_head!r}) pair in ({doc_id!r}, {index})")
             targets.append(target)
     return targets
-
-
-def _locate_target(sentence, verb, np_head):
-    for pos, np_span, head in _governed_pairs(sentence):
-        if sentence.tokens[pos].lemma == verb and head == np_head:
-            return MetonymyTarget(verb, pos, head, np_span, sentence.ref)
-    return None

@@ -44,19 +44,20 @@ class RankingTable:
     rows: tuple[ScoredCandidate, ...]
 
 
-def score_candidate(model, target: MetonymyTarget,
-                    candidate: CandidateSentence):
-    """Clamped cosine between the target and candidate joint phrase
-    vectors (verb lemma + shared NP head), or None when the candidate
-    verb is out of vocabulary."""
+def _check_head(target: MetonymyTarget, candidate: CandidateSentence):
     if candidate.np_head_lemma != target.np_head_lemma:
         raise ValueError(
             f"candidate NP head {candidate.np_head_lemma!r} does not match "
             f"target NP head {target.np_head_lemma!r}")
+
+
+def _target_phrase(model, target: MetonymyTarget):
+    return phrase_vector(model, [target.verb_lemma, target.np_head_lemma])
+
+
+def _phrase_confidence(model, target_phrase, candidate: CandidateSentence):
     if candidate.verb_lemma not in model.vocab:
         return None
-    target_phrase = phrase_vector(
-        model, [target.verb_lemma, target.np_head_lemma])
     candidate_phrase = phrase_vector(
         model, [candidate.verb_lemma, candidate.np_head_lemma])
     if not target_phrase.in_vocabulary or not candidate_phrase.in_vocabulary:
@@ -64,13 +65,33 @@ def score_candidate(model, target: MetonymyTarget,
     return confidence(target_phrase.vector, candidate_phrase.vector)
 
 
+def score_candidate(model, target: MetonymyTarget,
+                    candidate: CandidateSentence):
+    """Clamped cosine between the target and candidate joint phrase
+    vectors (verb lemma + shared NP head), or None when the candidate
+    verb is out of vocabulary."""
+    _check_head(target, candidate)
+    return _phrase_confidence(model, _target_phrase(model, target), candidate)
+
+
 def rank(model, target: MetonymyTarget, candidates,
          discard=DISCARD_THRESHOLD, viable=VIABLE_THRESHOLD) -> RankingTable:
     """Score and label all candidates; sort by confidence descending with
-    ties broken by verb lemma, NotInVocabulary rows last."""
+    ties broken by verb lemma, NotInVocabulary rows last.
+
+    Every candidate shares the target's NP head, so a row's score depends
+    only on its verb: each distinct verb is scored once, with the same
+    arithmetic as ``score_candidate``.
+    """
+    target_phrase = _target_phrase(model, target)
+    scores = {}
     rows = []
     for candidate in candidates:
-        score = score_candidate(model, target, candidate)
+        _check_head(target, candidate)
+        verb = candidate.verb_lemma
+        if verb not in scores:
+            scores[verb] = _phrase_confidence(model, target_phrase, candidate)
+        score = scores[verb]
         if score is None:
             rows.append(ScoredCandidate(candidate, None, NOT_IN_VOCAB))
         else:

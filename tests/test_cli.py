@@ -1,10 +1,18 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from metovec.cli import CONFIG_ENV_VAR, load_config, main
+from metovec.corpus import load_corpus
+from metovec.embeddings import load_model, save_model
+from metovec.metonymy import DEFAULT_VERBS, MetonymyTarget
+from metovec.ranking import (NOT_IN_VOCAB, RankingTable, ScoredCandidate,
+                             label_for, score_candidate, write_table)
 
-from conftest import PROVERB, write_vertical
+from conftest import PROVERB, make_model, write_vertical
+from test_metonymy import rescan_candidates, rescan_targets
 
 CHAPTER_SENTENCES = [
     [("We", "we", "PRON"), ("begin", "begin", "VERB"),
@@ -128,6 +136,120 @@ def test_cmd_paraphrase_gold_targets(tmp_path, chapter_corpus,
           "--model", str(trained_model), "--gold-targets", str(gold),
           "--output-dir", str(outdir)])
     assert len(list(outdir.glob("*.tsv"))) == 1
+
+
+def tagged(text):
+    """'word/lemma/POS ...' -> (surface, lemma, pos) triples."""
+    return [tuple(item.split("/")) for item in text.split()]
+
+
+# Several targets share the head "book"; "finish the meal" is a candidate
+# with an excluded verb; skim, devour and enjoy are left out of the model;
+# the last three "book" sentences are the punctuation-gap, inversion and
+# conjunction distractors, which yield no pair.
+PARAPHRASE_SENTENCES = [tagged(line) for line in [
+    "We/we/PRON began/begin/VERB the/the/DET book/book/NOUN",
+    "They/they/PRON read/read/VERB the/the/DET book/book/NOUN",
+    "She/she/PRON will/will/VERB finish/finish/VERB the/the/DET "
+    "old/old/ADJ book/book/NOUN",
+    "I/i/PRON enjoy/enjoy/VERB a/a/DET good/good/ADJ book/book/NOUN",
+    "He/he/PRON wrote/write/VERB the/the/DET book/book/NOUN",
+    "They/they/PRON burned/burn/VERB the/the/DET book/book/NOUN",
+    "We/we/PRON skim/skim/VERB the/the/DET book/book/NOUN",
+    "Pack/pack/VERB up/up/PREP the/the/DET book/book/NOUN",
+    "Read/read/VERB the/the/DET book/book/NOUN again/again/ADV",
+    "He/he/PRON began/begin/VERB the/the/DET meal/meal/NOUN",
+    "We/we/PRON ate/eat/VERB the/the/DET meal/meal/NOUN",
+    "They/they/PRON cooked/cook/VERB a/a/DET meal/meal/NOUN",
+    "She/she/PRON devoured/devour/VERB the/the/DET meal/meal/NOUN",
+    "I/i/PRON finished/finish/VERB the/the/DET meal/meal/NOUN",
+    "We/we/PRON enjoy/enjoy/VERB the/the/DET zyzzyva/zyzzyva/NOUN",
+    "They/they/PRON pet/pet/VERB the/the/DET zyzzyva/zyzzyva/NOUN",
+    "They/they/PRON read/read/VERB ,/,/PUNCT the/the/DET book/book/NOUN",
+    "Now/now/ADV ?/?/PUNCT '/'/PUNCT began/begin/VERB the/the/DET "
+    "book/book/NOUN",
+    "He/he/PRON began/begin/VERB and/and/CONJ the/the/DET book/book/NOUN",
+]]
+PARAPHRASE_OOV = {"skim", "devour", "enjoy", "zyzzyva"}
+
+
+@pytest.fixture
+def paraphrase_inputs(tmp_path):
+    corpus_path = write_vertical(tmp_path / "p.vert", PARAPHRASE_SENTENCES)
+    lemmas = sorted({lemma for sentence in PARAPHRASE_SENTENCES
+                     for _, lemma, _ in sentence} - PARAPHRASE_OOV)
+    rng = np.random.default_rng(3)
+    # verb norms spread over a decade so rows land in every label band
+    model = make_model({w: rng.normal(size=6) * rng.uniform(0.3, 3.0)
+                        for w in lemmas})
+    model_path = tmp_path / "p.model"
+    save_model(model, model_path)
+    return corpus_path, model_path
+
+
+def reference_tables(corpus, model, targets):
+    """Tables as a per-target rescan and per-row score_candidate give them."""
+    excluded = {spec.lemma for spec in DEFAULT_VERBS}
+    tables = {}
+    for n, target in enumerate(targets, start=1):
+        rows = []
+        for cand in rescan_candidates(corpus, target.np_head_lemma, excluded):
+            score = score_candidate(model, target, cand)
+            label = NOT_IN_VOCAB if score is None else label_for(score)
+            rows.append(ScoredCandidate(cand, score, label))
+        rows.sort(key=lambda row: (
+            row.confidence is None,
+            -(row.confidence if row.confidence is not None else 0.0),
+            row.candidate.verb_lemma))
+        out = io.StringIO()
+        write_table(RankingTable(target, tuple(rows)), out)
+        tables[f"{target.verb_lemma}-{n}.tsv"] = out.getvalue().encode()
+    return tables
+
+
+def written_tables(outdir):
+    return {path.name: path.read_bytes() for path in outdir.glob("*.tsv")}
+
+
+def test_cmd_paraphrase_matches_rescan(tmp_path, paraphrase_inputs):
+    corpus_path, model_path = paraphrase_inputs
+    corpus = load_corpus(corpus_path)
+    targets = rescan_targets(corpus)
+    assert [t.np_head_lemma for t in targets].count("book") == 3
+    expected = reference_tables(corpus, load_model(model_path), targets)
+    table_text = b"".join(expected.values()).decode()
+    for needed in ("Viable", "Rejected", "Discarded", "NIV",
+                   "#target\tdoc1\t14\tenjoy\tzyzzyva\npet\tNIV"):
+        assert needed in table_text
+    outdir = tmp_path / "tables"
+    main(["paraphrase", "--corpus", str(corpus_path),
+          "--model", str(model_path), "--output-dir", str(outdir)])
+    assert written_tables(outdir) == expected
+
+
+def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
+                                                  paraphrase_inputs):
+    corpus_path, model_path = paraphrase_inputs
+    corpus = load_corpus(corpus_path)
+    # gold targets may use any verb and come in any order
+    gold_records = [("doc1", 9, "begin", "meal"), ("doc1", 1, "read", "book"),
+                    ("doc1", 3, "enjoy", "book"), ("doc1", 0, "begin", "book")]
+    targets = []
+    for doc_id, index, verb, head in gold_records:
+        found = next(c for c in rescan_candidates(corpus, head)
+                     if c.sentence_ref == (doc_id, index)
+                     and c.verb_lemma == verb)
+        targets.append(MetonymyTarget(verb, found.verb_position, head,
+                                      found.np_span, found.sentence_ref))
+    expected = reference_tables(corpus, load_model(model_path), targets)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join("\t".join(map(str, record)) + "\n"
+                            for record in gold_records))
+    outdir = tmp_path / "tables"
+    main(["paraphrase", "--corpus", str(corpus_path),
+          "--model", str(model_path), "--gold-targets", str(gold),
+          "--output-dir", str(outdir)])
+    assert written_tables(outdir) == expected
 
 
 def test_cmd_eval_shipped_fixture(capsys):

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import build_vocabulary, load_corpus
 from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
@@ -11,6 +15,7 @@ from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
                                 save_model, sigmoid, train,
                                 train_example_cbow, train_example_skipgram)
 
+from conftest import make_model
 from test_huffman import vocab_from_counts
 
 
@@ -212,6 +217,46 @@ def test_save_load_round_trip(tiny_corpus, tmp_path):
     assert np.array_equal(model.node_vectors, loaded.node_vectors)
     assert model.vocab.words == loaded.vocab.words
     assert model.tree.codes == loaded.tree.codes
+    path2 = tmp_path / "model2.txt"
+    save_model(loaded, path2)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+# lemmas as the vertical reader yields them: any UTF-8 text without the tab
+# and line-break characters that delimit its fields and lines, lowercased
+vertical_lemmas = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    min_size=1).map(str.lower)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(vertical_lemmas, min_size=1, max_size=8, unique=True),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_save_load_round_trip_any_lemmas(words, dim, seed):
+    rng = np.random.default_rng(seed)
+    model = make_model(
+        {w: rng.uniform(-1e3, 1e3, size=dim) for w in words},
+        {w: int(rng.integers(1, 10**6)) for w in words})
+    model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.vocab.words == model.vocab.words
+    assert loaded.vocab.counts == model.vocab.counts
+    assert np.array_equal(loaded.input_vectors, model.input_vectors)
+    assert np.array_equal(loaded.node_vectors, model.node_vectors)
+
+
+def test_save_load_multiword_lemmas(tmp_path):
+    words = ["ice cream", " lead", "trail ", "a  b", "x"]
+    model = make_model({w: [float(i), -0.5] for i, w in enumerate(words)})
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.vocab.words == tuple(words)
+    assert np.array_equal(loaded.input_vectors, model.input_vectors)
     path2 = tmp_path / "model2.txt"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()

@@ -43,6 +43,11 @@ def test_confusion_missing_gold():
         confusion([VIABLE, REJECTED], [True, None])
 
 
+def test_confusion_length_mismatch():
+    with pytest.raises(ValueError, match="3 labels but 1 gold labels"):
+        confusion([VIABLE, VIABLE, REJECTED], [True])
+
+
 def test_precision_recall_headline_counts():
     cm = ConfusionMatrix(52, 94, 15, 18)
     assert precision(cm) == pytest.approx(52 / 67)
@@ -119,6 +124,11 @@ def test_pr_curve_invariants():
 def test_pr_curve_parallel_sequences():
     assert pr_curve([0.9, 0.1], [True, False]) \
         == pr_curve([(0.9, True), (0.1, False)])
+
+
+def test_pr_curve_parallel_length_mismatch():
+    with pytest.raises(ValueError, match="2 scores but 3 gold labels"):
+        pr_curve([0.9, 0.1], [True, False, True])
 
 
 def test_pr_curve_no_positives():

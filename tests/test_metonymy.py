@@ -1,10 +1,12 @@
 import pytest
 
-from metovec.corpus import CorpusFormatError, Sentence, Token, load_corpus
-from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, find_targets,
-                              harvest_candidates, load_gold_targets,
-                              object_np_after, validate_direct_object,
-                              _governed_pairs)
+from metovec.corpus import (Corpus, CorpusFormatError, Sentence, Token,
+                            load_corpus)
+from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, CandidateSentence,
+                              MetonymyTarget, find_targets,
+                              harvest_candidates, index_corpus,
+                              load_gold_targets, object_np_after,
+                              validate_direct_object, _governed_pairs)
 
 from conftest import write_vertical
 
@@ -175,16 +177,17 @@ def brute_force_pairs(sentence):
     return found
 
 
-def test_brute_force_oracle(tmp_path):
+def random_sentences(seed, count=20):
+    """Random tagged sentences over a few verbs, nouns and distractors."""
     import random
-    rng = random.Random(5)
+    rng = random.Random(seed)
     verbs = ["begin", "enjoy", "finish", "read", "eat", "see"]
     nouns = ["book", "meal", "film", "game"]
     fillers = [("the", "DET"), ("big", "ADJ"), ("very", "ADV"),
                (",", "PUNCT"), ("and", "CONJ"), ("at", "PREP"),
                ("in", "PREP"), ("two", "NUM")]
     sentences = []
-    for _ in range(20):
+    for _ in range(count):
         length = rng.randint(3, 9)
         triples = []
         for _ in range(length):
@@ -199,10 +202,65 @@ def test_brute_force_oracle(tmp_path):
                 w, pos = rng.choice(fillers)
                 triples.append((w, w, pos))
         sentences.append(triples)
-    path = write_vertical(tmp_path / "c.vert", sentences)
+    return sentences
+
+
+def test_brute_force_oracle(tmp_path):
+    path = write_vertical(tmp_path / "c.vert", random_sentences(5))
     corp = load_corpus(path, "vertical")
     for sentence in corp:
         assert list(_governed_pairs(sentence)) == brute_force_pairs(sentence)
+
+
+def rescan_targets(corpus, verbs=DEFAULT_VERBS):
+    """Reference find_targets: scan every sentence for a metonymic verb."""
+    verb_lemmas = {spec.lemma for spec in verbs}
+    return [MetonymyTarget(s.tokens[pos].lemma, pos, head, span, s.ref)
+            for s in corpus for pos, span, head in _governed_pairs(s)
+            if s.tokens[pos].lemma in verb_lemmas]
+
+
+def rescan_candidates(corpus, np_head, excluded_verbs=frozenset()):
+    """Reference harvest_candidates: rescan the whole corpus for one head."""
+    return [CandidateSentence(s.tokens[pos].lemma, pos, head, span, s.ref,
+                              validated=True)
+            for s in corpus for pos, span, head in _governed_pairs(s)
+            if head == np_head and s.tokens[pos].lemma not in excluded_verbs]
+
+
+def test_index_matches_rescan(tmp_path):
+    path = write_vertical(tmp_path / "c.vert", random_sentences(7, count=60))
+    corp = load_corpus(path, "vertical")
+    index = index_corpus(corp)
+    targets = rescan_targets(corp)
+    assert len(targets) > 3
+    assert find_targets(index) == find_targets(corp) == targets
+    excluded = {spec.lemma for spec in DEFAULT_VERBS}
+    for head in ("book", "meal", "film", "game", "absent"):
+        for skip in (frozenset(), excluded):
+            assert harvest_candidates(index, head, skip) \
+                == harvest_candidates(corp, head, skip) \
+                == rescan_candidates(corp, head, skip)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(
+        f"{t.sentence_ref[0]}\t{t.sentence_ref[1]}\t{t.verb_lemma}\t"
+        f"{t.np_head_lemma}\n" for t in reversed(targets)))
+    assert load_gold_targets(gold, index) \
+        == load_gold_targets(gold, corp) == targets[::-1]
+
+
+def test_index_repeated_ref(tmp_path):
+    # two sentences share a ref: targets keep both, a gold ref names the last
+    corp = Corpus([sent(*BEGIN_CHAPTER, doc_id="d", index=0),
+                   sent(*ENJOY_JOB, doc_id="d", index=0)])
+    index = index_corpus(corp)
+    assert [t.verb_lemma for t in find_targets(index)] == ["begin", "enjoy"]
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("d\t0\tenjoy\tjob\n")
+    assert [t.verb_lemma for t in load_gold_targets(gold, index)] == ["enjoy"]
+    gold.write_text("d\t0\tbegin\tchapter\n")
+    with pytest.raises(CorpusFormatError, match="no .'begin', 'chapter'. pair"):
+        load_gold_targets(gold, index)
 
 
 def test_load_gold_targets(tmp_path):

@@ -100,6 +100,26 @@ def test_rank_orders_and_labels():
     assert table.rows[-1].confidence is None
 
 
+def test_rank_matches_per_row_scores():
+    rng = np.random.default_rng(7)
+    words = {f"v{i}": list(rng.normal(size=4)) for i in range(5)}
+    words["chapter"] = list(rng.normal(size=4))
+    model = make_model(words)
+    verbs = ["v1", "v2", "v1", "oov", "v3", "v2", "oov", "v0", "v4", "v1"]
+    table = rank(model, target("v0"), [candidate(v) for v in verbs])
+    assert sorted(r.candidate.verb_lemma for r in table.rows) == sorted(verbs)
+    for row in table.rows:
+        assert row.confidence \
+            == score_candidate(model, target("v0"), row.candidate)
+
+
+def test_rank_head_mismatch_errors():
+    model = angle_model(0.75)
+    with pytest.raises(ValueError):
+        rank(model, target(),
+             [candidate("read"), candidate("read", head="book")])
+
+
 def test_rank_injected_target_verb_first():
     model = angle_model(0.75)
     table = rank(model, target(), [candidate("read"), candidate("begin")])
