@@ -13,7 +13,7 @@ from .evaluation import (ConfusionMatrix, Fixture, PRPoint,
                          phi_coefficient, pr_curve, precision, recall)
 from .huffman import HuffmanTree, build_huffman_tree
 from .metonymy import (DEFAULT_VERBS, CandidateSentence, MetonymyTarget,
-                       VerbObjectIndex, VerbSpec, find_targets,
+                       VerbObject, VerbObjectIndex, VerbSpec, find_targets,
                        harvest_candidates, index_corpus, load_gold_targets,
                        object_np_after, validate_direct_object)
 from .ranking import (DISCARD_THRESHOLD, VIABLE_THRESHOLD, RankingTable,
@@ -35,7 +35,7 @@ __all__ = [
     "ConfusionMatrix", "Fixture", "PRPoint", "UndefinedMetricError",
     "confusion", "load_fixture", "phi_coefficient", "pr_curve",
     "precision", "recall",
-    "DEFAULT_VERBS", "CandidateSentence", "MetonymyTarget",
+    "DEFAULT_VERBS", "CandidateSentence", "MetonymyTarget", "VerbObject",
     "VerbObjectIndex", "VerbSpec", "find_targets", "harvest_candidates",
     "index_corpus", "load_gold_targets",
     "object_np_after", "validate_direct_object",

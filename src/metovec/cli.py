@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -26,15 +26,7 @@ class PipelineConfig:
     train_corpus: str | None = None
     test_corpus: str | None = None
     corpus_format: str = "vertical"
-    mode: str = SKIPGRAM
-    window: int = 4
-    dim: int = 100
-    epochs: int = 5
-    lr_start: float = 0.025
-    lr_end: float = 0.0001
-    seed: int = 1
-    min_count: int = 1
-    max_vocab: int = 10000
+    training: TrainingConfig = field(default_factory=TrainingConfig)
     discard_threshold: float = 0.2
     viable_threshold: float = 0.5
     gold_targets: str | None = None
@@ -47,19 +39,20 @@ class PipelineConfig:
         if not 0 <= self.discard_threshold < self.viable_threshold <= 1:
             raise ValueError("need 0 <= discard < viable <= 1")
 
-    def training_config(self, mode=None) -> TrainingConfig:
-        return TrainingConfig(
-            mode=mode or self.mode, window=self.window, dim=self.dim,
-            epochs=self.epochs, lr_start=self.lr_start, lr_end=self.lr_end,
-            seed=self.seed, min_count=self.min_count,
-            max_vocab=self.max_vocab)
-
     def verb_specs(self):
         return tuple(metonymy.VerbSpec(l, e, c) for l, e, c in self.verbs)
 
 
+TRAINING_KEYS = {f.name for f in fields(TrainingConfig)}
+PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"training"}
+
+
 def load_config(path=None, overrides=None) -> PipelineConfig:
-    """Config file (JSON), then flag overrides; flags win."""
+    """Config file (JSON), then flag overrides; flags win.
+
+    Training keys (``mode``, ``dim``, ...) are flat, next to the pipeline
+    keys, and go to ``PipelineConfig.training``; any other key is an error.
+    """
     values = {}
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -68,7 +61,12 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    return PipelineConfig(**values)
+    unknown = sorted(values.keys() - TRAINING_KEYS - PIPELINE_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key "
+                         + ", ".join(repr(key) for key in unknown))
+    training = {key: values.pop(key) for key in TRAINING_KEYS & values.keys()}
+    return PipelineConfig(training=TrainingConfig(**training), **values)
 
 
 def _load(path, fmt):
@@ -83,7 +81,7 @@ def cmd_vocab(args):
         "max_vocab": args.max_vocab, "min_count": args.min_count})
     corp = _load(config.train_corpus, config.corpus_format)
     vocab = corpus_mod.build_vocabulary(
-        corp, config.max_vocab, config.min_count)
+        corp, config.training.max_vocab, config.training.min_count)
     with open(args.output, "w", encoding="utf-8") as out:
         for word, count in zip(vocab.words, vocab.counts):
             out.write(f"{word}\t{count}\n")
@@ -97,10 +95,11 @@ def cmd_train(args):
         "seed": args.seed})
     corp = _load(config.train_corpus, config.corpus_format)
     stats = TrainStats()
-    model = train(corp, config.training_config(), stats=stats)
+    model = train(corp, config.training, stats=stats)
     save_model(model, args.output)
-    print(f"trained {config.mode} model (V={len(model.vocab)}, "
-          f"D={config.dim}, seed={config.seed}): {args.output}")
+    print(f"trained {config.training.mode} model (V={len(model.vocab)}, "
+          f"D={config.training.dim}, seed={config.training.seed}): "
+          f"{args.output}")
     print(f"examples={stats.examples} skipped={stats.skipped}")
 
 

@@ -350,13 +350,30 @@ def load_model(path) -> EmbeddingModel:
     if lines[1 + 2 * v] != "#counts":
         raise ValueError(f"{path}: missing #counts sentinel")
     counts = []
-    for line in lines[2 + 2 * v:]:
-        word, count = line.rsplit(" ", 1)
-        counts.append(int(count))
+    for lineno, (line, vector_word) in enumerate(
+            zip(lines[2 + 2 * v:], words), start=3 + 2 * v):
+        word, _, count_field = line.rpartition(" ")
+        try:
+            count = int(count_field)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: bad count {count_field!r}") from None
+        if word != vector_word:
+            raise ValueError(f"{path}:{lineno}: #counts word {word!r} differs "
+                             f"from vector word {vector_word!r}")
+        if count < 1:
+            raise ValueError(f"{path}:{lineno}: count {count} is below 1")
+        counts.append(count)
+    inputs = np.array(inputs)
+    nodes = np.array(nodes, dtype=float).reshape(v - 1, d)
+    for label, array, first_lineno in (("vector", inputs, 2),
+                                       ("node", nodes, 3 + v)):
+        bad_rows = np.flatnonzero(~np.isfinite(array).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(f"{path}:{first_lineno + bad_rows[0]}: "
+                             f"non-finite {label} entry")
 
     vocab = Vocabulary(words=tuple(words), counts=tuple(counts),
                        total_tokens=sum(counts), max_size=max(v, 1))
     config = TrainingConfig(dim=d)
-    return EmbeddingModel(np.array(inputs),
-                          np.array(nodes, dtype=float).reshape(v - 1, d),
-                          vocab, config)
+    return EmbeddingModel(inputs, nodes, vocab, config)

@@ -105,7 +105,7 @@ def phi_coefficient(cm: ConfusionMatrix) -> float:
     return (cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(math.prod(marginals))
 
 
-def pr_curve(scored_rows, gold=None) -> list[PRPoint]:
+def pr_curve(scored_rows) -> list[PRPoint]:
     """One (precision, recall) point per retrieved row.
 
     ``scored_rows`` is a sequence of (confidence, is_positive) pairs; rows
@@ -113,8 +113,6 @@ def pr_curve(scored_rows, gold=None) -> list[PRPoint]:
     treats the top-k rows as retrieved positives; the recall denominator is
     the number of gold-positive rows overall.
     """
-    if gold is not None:  # parallel-sequence form
-        scored_rows = list(_paired(scored_rows, gold, "scores", "gold labels"))
     ranked = sorted(scored_rows, key=lambda pair: -pair[0])
     total_positive = sum(1 for _, pos in ranked if pos)
     if total_positive == 0:
@@ -186,8 +184,12 @@ def load_fixture(path=None) -> Fixture:
         if fields[0] == "#target":
             if len(fields) != 5:
                 raise ValueError(f"{name}:{lineno}: bad target header")
-            current = FixtureTarget(fields[1], int(fields[2]),
-                                    fields[3], fields[4])
+            try:
+                index = int(fields[2])
+            except ValueError:
+                raise ValueError(f"{name}:{lineno}: bad sentence index "
+                                 f"{fields[2]!r}") from None
+            current = FixtureTarget(fields[1], index, fields[3], fields[4])
             targets.append(current)
             continue
         if current is None:

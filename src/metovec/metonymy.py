@@ -30,22 +30,20 @@ DEFAULT_VERBS = (
 
 
 @dataclass(frozen=True)
-class MetonymyTarget:
+class VerbObject:
+    """A verb governing an object NP: a metonymy target ("begin the book")
+    or a paraphrase candidate ("read the book").  ``validated`` says the
+    direct-object check passed; every record the library builds has."""
+
     verb_lemma: str
     verb_position: int
     np_head_lemma: str
     np_span: tuple[int, int]  # [start, end) token indices
     sentence_ref: tuple[str, int]
+    validated: bool = True
 
 
-@dataclass(frozen=True)
-class CandidateSentence:
-    verb_lemma: str
-    verb_position: int
-    np_head_lemma: str
-    np_span: tuple[int, int]
-    sentence_ref: tuple[str, int]
-    validated: bool = False
+MetonymyTarget = CandidateSentence = VerbObject
 
 
 def _is_particle(token) -> bool:
@@ -129,9 +127,9 @@ class VerbObjectIndex:
     empty tuple for a sentence that has none.  Built by ``index_corpus``.
     """
 
-    pairs: tuple[CandidateSentence, ...]
-    by_head: dict[str, tuple[CandidateSentence, ...]]
-    by_ref: dict[tuple[str, int], tuple[CandidateSentence, ...]]
+    pairs: tuple[VerbObject, ...]
+    by_head: dict[str, tuple[VerbObject, ...]]
+    by_ref: dict[tuple[str, int], tuple[VerbObject, ...]]
 
 
 def index_corpus(corpus: Corpus) -> VerbObjectIndex:
@@ -141,14 +139,8 @@ def index_corpus(corpus: Corpus) -> VerbObjectIndex:
     by_ref = {}
     for sentence in corpus:
         found = tuple(
-            CandidateSentence(
-                verb_lemma=sentence.tokens[pos].lemma,
-                verb_position=pos,
-                np_head_lemma=head,
-                np_span=np_span,
-                sentence_ref=sentence.ref,
-                validated=True,
-            )
+            VerbObject(sentence.tokens[pos].lemma, pos, head, np_span,
+                       sentence.ref)
             for pos, np_span, head in _governed_pairs(sentence))
         # a ref repeated in the corpus resolves to its last sentence
         by_ref[sentence.ref] = found
@@ -167,23 +159,18 @@ def _as_index(corpus) -> VerbObjectIndex:
     return index_corpus(corpus)
 
 
-def _as_target(pair: CandidateSentence) -> MetonymyTarget:
-    return MetonymyTarget(pair.verb_lemma, pair.verb_position,
-                          pair.np_head_lemma, pair.np_span, pair.sentence_ref)
-
-
-def find_targets(corpus, verbs=DEFAULT_VERBS) -> list[MetonymyTarget]:
+def find_targets(corpus, verbs=DEFAULT_VERBS) -> list[VerbObject]:
     """All (metonymic verb, object NP) occurrences in document order.
 
     ``corpus`` is a Corpus or the VerbObjectIndex of one.
     """
     verb_lemmas = {spec.lemma for spec in verbs}
-    return [_as_target(pair) for pair in _as_index(corpus).pairs
+    return [pair for pair in _as_index(corpus).pairs
             if pair.verb_lemma in verb_lemmas]
 
 
 def harvest_candidates(corpus, np_head: str,
-                       excluded_verbs=frozenset()) -> list[CandidateSentence]:
+                       excluded_verbs=frozenset()) -> list[VerbObject]:
     """Sentences where some non-excluded verb governs an NP headed by
     ``np_head``; one candidate per (verb, NP) occurrence, in document order.
 
@@ -196,7 +183,7 @@ def harvest_candidates(corpus, np_head: str,
             if pair.verb_lemma not in excluded_verbs]
 
 
-def load_gold_targets(path, corpus) -> list[MetonymyTarget]:
+def load_gold_targets(path, corpus) -> list[VerbObject]:
     """Parse a gold-target file: ``doc_id<TAB>index<TAB>verb<TAB>np_head``
     per line.  Each record must resolve to a (verb, NP) pair in ``corpus``,
     a Corpus or the VerbObjectIndex of one.
@@ -223,7 +210,7 @@ def load_gold_targets(path, corpus) -> list[MetonymyTarget]:
             if pairs is None:
                 raise CorpusFormatError(
                     path, lineno, f"no sentence ({doc_id!r}, {index})")
-            target = next((_as_target(pair) for pair in pairs
+            target = next((pair for pair in pairs
                            if pair.verb_lemma == verb
                            and pair.np_head_lemma == np_head), None)
             if target is None:

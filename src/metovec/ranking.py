@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metonymy import CandidateSentence, MetonymyTarget
+from .metonymy import VerbObject
 from .vectorspace import confidence, phrase_vector
 
 DISCARD_THRESHOLD = 0.2
@@ -29,7 +29,7 @@ def label_for(score: float, discard=DISCARD_THRESHOLD,
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    candidate: CandidateSentence
+    candidate: VerbObject
     confidence: float | None  # None marks NotInVocabulary
     label: str
 
@@ -40,22 +40,22 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class RankingTable:
-    target: MetonymyTarget
+    target: VerbObject
     rows: tuple[ScoredCandidate, ...]
 
 
-def _check_head(target: MetonymyTarget, candidate: CandidateSentence):
+def _check_head(target: VerbObject, candidate: VerbObject):
     if candidate.np_head_lemma != target.np_head_lemma:
         raise ValueError(
             f"candidate NP head {candidate.np_head_lemma!r} does not match "
             f"target NP head {target.np_head_lemma!r}")
 
 
-def _target_phrase(model, target: MetonymyTarget):
+def _target_phrase(model, target: VerbObject):
     return phrase_vector(model, [target.verb_lemma, target.np_head_lemma])
 
 
-def _phrase_confidence(model, target_phrase, candidate: CandidateSentence):
+def _phrase_confidence(model, target_phrase, candidate: VerbObject):
     if candidate.verb_lemma not in model.vocab:
         return None
     candidate_phrase = phrase_vector(
@@ -65,8 +65,7 @@ def _phrase_confidence(model, target_phrase, candidate: CandidateSentence):
     return confidence(target_phrase.vector, candidate_phrase.vector)
 
 
-def score_candidate(model, target: MetonymyTarget,
-                    candidate: CandidateSentence):
+def score_candidate(model, target: VerbObject, candidate: VerbObject):
     """Clamped cosine between the target and candidate joint phrase
     vectors (verb lemma + shared NP head), or None when the candidate
     verb is out of vocabulary."""
@@ -74,7 +73,7 @@ def score_candidate(model, target: MetonymyTarget,
     return _phrase_confidence(model, _target_phrase(model, target), candidate)
 
 
-def rank(model, target: MetonymyTarget, candidates,
+def rank(model, target: VerbObject, candidates,
          discard=DISCARD_THRESHOLD, viable=VIABLE_THRESHOLD) -> RankingTable:
     """Score and label all candidates; sort by confidence descending with
     ties broken by verb lemma, NotInVocabulary rows last.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,12 +10,28 @@ import numpy as np
 from .embeddings import EmbeddingModel, NotInVocabularyError
 
 
+# a norm in this range has a sum of squares well inside the normal floats
+SAFE_NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
+
+
+def _with_norm(v):
+    """``v`` and its norm.  Outside SAFE_NORM_RANGE the squares underflow
+    into subnormals, which lose precision, or overflow; there ``v`` is
+    first scaled by the power of two that puts its largest magnitude in
+    [0.5, 1).  The scaling is exact, so the cosine is unchanged."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
+        return v, norm
+    _, exponent = math.frexp(float(np.abs(v).max(initial=0.0)))
+    v = np.ldexp(v, -exponent)
+    return v, np.linalg.norm(v)
+
+
 def cosine_similarity(a, b) -> float:
     """(a . b) / (||a|| ||b||); raises on a zero-norm argument."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
+    a, norm_a = _with_norm(a)
+    b, norm_b = _with_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm vector")
     return float(np.dot(a, b) / (norm_a * norm_b))

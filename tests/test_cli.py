@@ -42,12 +42,24 @@ def test_load_config_precedence(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"dim": 32, "seed": 7}))
     monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
     # env-var config applies when no explicit path is given
-    assert load_config().dim == 32
+    assert load_config().training.dim == 32
     # flags win over the file
-    assert load_config(overrides={"dim": 64}).dim == 64
-    assert load_config(overrides={"dim": None}).seed == 7
+    assert load_config(overrides={"dim": 64}).training.dim == 64
+    assert load_config(overrides={"dim": None}).training.seed == 7
     monkeypatch.delenv(CONFIG_ENV_VAR)
-    assert load_config().dim == 100
+    assert load_config().training.dim == 100
+
+
+def test_config_unknown_key(tmp_path, chapter_corpus):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimm": 3, "seed": 2}))
+    with pytest.raises(ValueError) as err:
+        load_config(str(cfg))
+    assert str(err.value) == f"{cfg}: unknown config key 'dimm'"
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(cfg), "train", "--corpus", str(chapter_corpus),
+              "--output", str(tmp_path / "m.txt")])
+    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
 
 
 def test_config_threshold_invariant(tmp_path):

@@ -290,6 +290,38 @@ def test_load_malformed_header(tmp_path):
         load_model(path)
 
 
+def load_error(tmp_path, lineno, row):
+    """The error of load_model on a saved 3-word, D=2 model whose line
+    ``lineno`` is replaced by ``row``.  Lines 2-4 are vectors, 6-7 nodes
+    and 9-11 counts."""
+    model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]},
+                       {"a": 3, "b": 2, "c": 1})
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    return str(err.value).removeprefix(f"{path}:")
+
+
+@pytest.mark.parametrize("lineno, row, message", [
+    (10, "z 2", "#counts word 'z' differs from vector word 'b'"),
+    (11, "c 0", "count 0 is below 1"),
+    (9, "a x", "bad count 'x'")])
+def test_load_rejects_bad_count_row(tmp_path, lineno, row, message):
+    assert load_error(tmp_path, lineno, row) == f"{lineno}: {message}"
+
+
+@pytest.mark.parametrize("lineno, row, label", [
+    (3, "b 3.0 nan", "vector"), (4, "c inf 6.0", "vector"),
+    (7, "n1 0.0 -inf", "node")])
+def test_load_rejects_non_finite(tmp_path, lineno, row, label):
+    assert load_error(tmp_path, lineno, row) \
+        == f"{lineno}: non-finite {label} entry"
+
+
 def test_train_with_prebuilt_vocab(tiny_corpus):
     vocab = build_vocabulary(tiny_corpus, max_size=5)
     model = train(tiny_corpus, TrainingConfig(dim=4, epochs=1), vocab=vocab)

@@ -121,16 +121,6 @@ def test_pr_curve_invariants():
     assert points[-1].precision == pytest.approx(2 / 4)
 
 
-def test_pr_curve_parallel_sequences():
-    assert pr_curve([0.9, 0.1], [True, False]) \
-        == pr_curve([(0.9, True), (0.1, False)])
-
-
-def test_pr_curve_parallel_length_mismatch():
-    with pytest.raises(ValueError, match="2 scores but 3 gold labels"):
-        pr_curve([0.9, 0.1], [True, False, True])
-
-
 def test_pr_curve_no_positives():
     with pytest.raises(UndefinedMetricError):
         pr_curve([(0.5, False)])
@@ -179,6 +169,16 @@ def test_fixture_parse_errors(tmp_path):
                    "Read the book.\tNIV\tViable\t+\n")
     with pytest.raises(ValueError, match="mismatch"):
         load_fixture(bad)
+
+
+def test_fixture_bad_sentence_index(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#target\tdoc\t0\tbegin\tbook\n"
+                   "Read the book.\t0.5\tViable\t+\n"
+                   "#target\tdoc\tx\tbegin\tbook\n")
+    with pytest.raises(ValueError) as err:
+        load_fixture(bad)
+    assert str(err.value) == f"{bad}:3: bad sentence index 'x'"
 
 
 def test_fixture_confusion_totals():

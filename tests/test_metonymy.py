@@ -3,7 +3,7 @@ import pytest
 from metovec.corpus import (Corpus, CorpusFormatError, Sentence, Token,
                             load_corpus)
 from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, CandidateSentence,
-                              MetonymyTarget, find_targets,
+                              MetonymyTarget, VerbObject, find_targets,
                               harvest_candidates, index_corpus,
                               load_gold_targets, object_np_after,
                               validate_direct_object, _governed_pairs)
@@ -215,15 +215,14 @@ def test_brute_force_oracle(tmp_path):
 def rescan_targets(corpus, verbs=DEFAULT_VERBS):
     """Reference find_targets: scan every sentence for a metonymic verb."""
     verb_lemmas = {spec.lemma for spec in verbs}
-    return [MetonymyTarget(s.tokens[pos].lemma, pos, head, span, s.ref)
+    return [VerbObject(s.tokens[pos].lemma, pos, head, span, s.ref)
             for s in corpus for pos, span, head in _governed_pairs(s)
             if s.tokens[pos].lemma in verb_lemmas]
 
 
 def rescan_candidates(corpus, np_head, excluded_verbs=frozenset()):
     """Reference harvest_candidates: rescan the whole corpus for one head."""
-    return [CandidateSentence(s.tokens[pos].lemma, pos, head, span, s.ref,
-                              validated=True)
+    return [VerbObject(s.tokens[pos].lemma, pos, head, span, s.ref)
             for s in corpus for pos, span, head in _governed_pairs(s)
             if head == np_head and s.tokens[pos].lemma not in excluded_verbs]
 
@@ -247,6 +246,23 @@ def test_index_matches_rescan(tmp_path):
         f"{t.np_head_lemma}\n" for t in reversed(targets)))
     assert load_gold_targets(gold, index) \
         == load_gold_targets(gold, corp) == targets[::-1]
+
+
+def test_one_verb_object_record(tmp_path):
+    assert MetonymyTarget is CandidateSentence is VerbObject
+    path = write_vertical(tmp_path / "c.vert", random_sentences(7, count=60))
+    index = index_corpus(load_corpus(path, "vertical"))
+    targets = find_targets(index)
+    assert targets and all(t.validated for t in index.pairs)
+    # targets, candidates and gold targets are the index's own records
+    indexed = {id(pair) for pair in index.pairs}
+    assert all(id(t) in indexed for t in targets)
+    assert all(id(c) in indexed for c in harvest_candidates(index, "book"))
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(
+        f"{t.sentence_ref[0]}\t{t.sentence_ref[1]}\t{t.verb_lemma}\t"
+        f"{t.np_head_lemma}\n" for t in targets))
+    assert all(id(t) in indexed for t in load_gold_targets(gold, index))
 
 
 def test_index_repeated_ref(tmp_path):

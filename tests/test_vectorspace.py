@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from metovec.embeddings import NotInVocabularyError
 from metovec.vectorspace import (analogy, confidence, cosine_similarity,
@@ -48,6 +48,8 @@ def test_cosine_symmetric(a, b):
 
 
 @given(finite_vectors, st.floats(min_value=0.01, max_value=50))
+# a norm computed from squares this small would underflow into subnormals
+@example(a=[0.0, 1.9e-158], alpha=0.5)
 def test_cosine_scale_invariant(a, alpha):
     b = [x + 1 for x in a]
     scaled = [alpha * x for x in a]
@@ -55,6 +57,18 @@ def test_cosine_scale_invariant(a, alpha):
         return
     assert cosine_similarity(scaled, b) \
         == pytest.approx(cosine_similarity(a, b), abs=1e-9)
+
+
+# the first norm of a vector scaled far up overflows before it is rescaled
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(finite_vectors, finite_vectors,
+       st.integers(min_value=-900, max_value=900))
+def test_cosine_power_of_two_scale_invariant(a, b, k):
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    assume(np.abs(a).max() > 1e-6 and nonzero_norm(b))
+    assert cosine_similarity(np.ldexp(a, k), b) \
+        == pytest.approx(cosine_similarity(a, b), abs=1e-12)
 
 
 def test_confidence_clamps():
