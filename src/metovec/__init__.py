@@ -4,7 +4,7 @@ ranking for verbal metonymy ("begin the book" -> "read the book")."""
 from .corpus import (Corpus, CorpusFormatError, NextWordCounts, Sentence,
                      Token, Vocabulary, build_vocabulary, load_corpus,
                      next_word_counts)
-from .embeddings import (CBOW, SKIPGRAM, EmbeddingModel,
+from .embeddings import (CBOW, SKIPGRAM, EmbeddingModel, EpochStats,
                          NotInVocabularyError, TrainingConfig, TrainStats,
                          init_model, leaf_probability, load_model,
                          save_model, train)
@@ -28,7 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "CorpusFormatError", "NextWordCounts", "Sentence", "Token",
     "Vocabulary", "build_vocabulary", "load_corpus", "next_word_counts",
-    "CBOW", "SKIPGRAM", "EmbeddingModel", "NotInVocabularyError",
+    "CBOW", "SKIPGRAM", "EmbeddingModel", "EpochStats",
+    "NotInVocabularyError",
     "TrainingConfig", "TrainStats", "init_model", "leaf_probability",
     "load_model", "save_model", "train",
     "HuffmanTree", "build_huffman_tree",

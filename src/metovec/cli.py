@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -45,6 +46,39 @@ class PipelineConfig:
 
 TRAINING_KEYS = {f.name for f in fields(TrainingConfig)}
 PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"training"}
+KEY_TYPES = {key: hint for cls in (PipelineConfig, TrainingConfig)
+             for key, hint in typing.get_type_hints(cls).items()
+             if key != "training"}
+
+
+def _read_config_file(path) -> dict:
+    """The JSON object in ``path``; a located ValueError when the file is
+    not UTF-8 JSON, not an object, or gives a known key a value of the
+    wrong type.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            values = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: malformed "
+                             f"JSON: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
+                             f"{exc.reason}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config must be a JSON object, "
+                         f"not {type(values).__name__}")
+    for key, value in values.items():
+        expected = KEY_TYPES.get(key)
+        if expected is None:
+            continue  # unknown keys are reported by load_config
+        # a JSON integer is a valid float; a boolean is never a number
+        accepted = int | float if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            name = getattr(expected, "__name__", expected)
+            raise ValueError(f"{path}: config key {key!r} must be {name}, "
+                             f"not {value!r}")
+    return values
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -56,8 +90,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     values = {}
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        with open(path, encoding="utf-8") as handle:
-            values.update(json.load(handle))
+        values.update(_read_config_file(path))
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value

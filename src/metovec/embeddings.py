@@ -54,12 +54,23 @@ class TrainingConfig:
             raise ValueError("need lr_start >= lr_end > 0")
 
 
+@dataclass(frozen=True)
+class EpochStats:
+    """One training epoch: the learning rate of its last step, its wall
+    time and its throughput."""
+
+    lr: float
+    seconds: float
+    tokens_per_s: float
+
+
 @dataclass
 class TrainStats:
     examples: int = 0
     skipped: int = 0
     node_updates: int = 0
     predictions: int = 0
+    epochs: list[EpochStats] = field(default_factory=list)
 
     def record(self, touched: int):
         self.predictions += 1
@@ -134,16 +145,29 @@ def _hs_forward(model, tree, hidden, target_id):
     return path, nodes, residual
 
 
-def _hs_step(model, tree, hidden, target_id, lr):
-    """One hierarchical-softmax gradient step toward ``target_id``.
+def _hs_step(node_vectors, path, target, hidden, lr):
+    """One hierarchical-softmax gradient step; returns the grad wrt hidden.
 
-    Updates the path node vectors in place and returns (grad wrt hidden,
-    number of node rows touched).  Loss is -log leaf_probability.
+    ``path`` and ``target`` are a word's ``HuffmanTree.step_arrays`` entry.
+    The residual is ``sigmoid(nodes @ hidden) - target``, as in
+    ``_hs_forward``, computed in place in the same floating-point order; the
+    path's node rows then get ``-(lr * residual)[:, None] * hidden``.  Loss
+    is -log leaf_probability.
     """
-    path, nodes, residual = _hs_forward(model, tree, hidden, target_id)
+    nodes = node_vectors.take(path, 0)
+    residual = nodes @ hidden
+    np.maximum(residual, -SIGMOID_CLAMP, out=residual)
+    np.minimum(residual, SIGMOID_CLAMP, out=residual)
+    np.negative(residual, out=residual)
+    np.exp(residual, out=residual)
+    residual += 1.0
+    np.reciprocal(residual, out=residual)  # 1 / x, the same division
+    residual -= target
     grad_hidden = residual @ nodes
-    model.node_vectors[path] = nodes - lr * residual[:, None] * hidden
-    return grad_hidden, len(path)
+    residual *= lr
+    nodes -= residual[:, None] * hidden
+    node_vectors[path] = nodes
+    return grad_hidden
 
 
 def example_loss_cbow(model, tree, sentence_ids, focus, window):
@@ -158,19 +182,27 @@ def example_loss_cbow(model, tree, sentence_ids, focus, window):
 
 def train_example_cbow(model, tree, focus, sentence_ids, lr,
                        window=None, stats=None):
-    """One CBOW gradient step at ``focus``; returns False when skipped."""
+    """One CBOW gradient step at ``focus``; returns False when skipped.
+
+    A context word that occurs k times in the window gets k updates, as in
+    word2vec.c and ``example_gradients_cbow``.
+    """
     window = model.config.window if window is None else window
     context = _context_ids(sentence_ids, focus, window)
     if not context:
         if stats:
             stats.skipped += 1
         return False
-    hidden = model.input_vectors[context].mean(axis=0)
-    grad_hidden, touched = _hs_step(model, tree, hidden, sentence_ids[focus], lr)
-    model.input_vectors[context] -= lr * grad_hidden / len(context)
+    inputs = model.input_vectors
+    hidden = np.add.reduce(inputs.take(context, 0), 0) / len(context)
+    path, target = tree.step_arrays[sentence_ids[focus]]
+    grad_hidden = _hs_step(model.node_vectors, path, target, hidden, lr)
+    update = lr * grad_hidden / len(context)
+    for cid in context:
+        inputs[cid] -= update
     if stats:
         stats.examples += 1
-        stats.record(touched)
+        stats.record(len(path))
     return True
 
 
@@ -232,22 +264,24 @@ def train_example_skipgram(model, tree, focus, sentence_ids, lr,
         if stats:
             stats.skipped += 1
         return False
-    fid = sentence_ids[focus]
+    # a view: each step updates the path nodes before the row itself
+    hidden = model.input_vectors[sentence_ids[focus]]
+    node_vectors = model.node_vectors
+    step_arrays = tree.step_arrays
     for cid in context:
-        hidden = model.input_vectors[fid].copy()
-        grad_hidden, touched = _hs_step(model, tree, hidden, cid, lr)
-        model.input_vectors[fid] -= lr * grad_hidden
+        path, target = step_arrays[cid]
+        hidden -= lr * _hs_step(node_vectors, path, target, hidden, lr)
         if stats:
-            stats.record(touched)
+            stats.record(len(path))
     if stats:
         stats.examples += 1
     return True
 
 
 def _context_ids(sentence_ids, focus, window):
-    lo = max(0, focus - window)
-    hi = min(len(sentence_ids), focus + window + 1)
-    return [sentence_ids[i] for i in range(lo, hi) if i != focus]
+    """Ids within ``window`` of ``focus``; ``sentence_ids`` is a list."""
+    return (sentence_ids[max(0, focus - window):focus]
+            + sentence_ids[focus + 1:focus + window + 1])
 
 
 def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
@@ -278,19 +312,25 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
         raise ValueError("corpus has no in-vocabulary tokens")
 
     seen = 0
-    started = time.perf_counter()
-    for _ in range(config.epochs):
+    epoch_tokens = total_tokens // config.epochs
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         for ids in encoded:
             for focus in range(len(ids)):
                 progress = seen / total_tokens
                 lr = config.lr_start - (config.lr_start - config.lr_end) * progress
                 step(model, tree, focus, ids, lr, stats=stats)
                 seen += 1
-    elapsed = time.perf_counter() - started
-    log.info("trained %s: %d tokens in %.2fs (%.0f tokens/s), "
-             "%d examples, %d skipped",
-             config.mode, seen, elapsed, seen / elapsed if elapsed else 0.0,
-             stats.examples, stats.skipped)
+        elapsed = time.perf_counter() - started
+        record = EpochStats(lr=lr, seconds=elapsed,
+                            tokens_per_s=epoch_tokens / elapsed
+                            if elapsed else 0.0)
+        stats.epochs.append(record)
+        log.info("%s epoch %d/%d: lr %.6f, %d tokens in %.2fs "
+                 "(%.0f tokens/s)", config.mode, epoch, config.epochs,
+                 record.lr, epoch_tokens, record.seconds, record.tokens_per_s)
+    log.info("trained %s: %d examples, %d skipped",
+             config.mode, stats.examples, stats.skipped)
     return model
 
 
@@ -310,10 +350,10 @@ def save_model(model: EmbeddingModel, path):
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"{v} {d}\n")
         for word, row in zip(model.vocab.words, model.input_vectors):
-            out.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            out.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
         out.write("#nodes\n")
         for idx, row in enumerate(model.node_vectors):
-            out.write(f"n{idx} " + " ".join(repr(float(x)) for x in row) + "\n")
+            out.write(f"n{idx} " + " ".join(map(repr, row.tolist())) + "\n")
         out.write("#counts\n")
         for word, count in zip(model.vocab.words, model.vocab.counts):
             out.write(f"{word} {count}\n")

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -17,6 +20,15 @@ class HuffmanTree:
 
     codes: tuple[tuple[int, ...], ...]
     paths: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def step_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per word id, ``(path, target)`` as the training step reads them:
+        the path as an ``intp`` array and ``target = 1 - code bits`` as
+        floats, built on first use and kept for the life of the tree."""
+        return tuple((np.array(path, dtype=np.intp),
+                      1.0 - np.array(code, dtype=float))
+                     for path, code in zip(self.paths, self.codes))
 
     @property
     def n_words(self) -> int:

@@ -62,6 +62,23 @@ def test_config_unknown_key(tmp_path, chapter_corpus):
     assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
 
 
+# each message follows "<file>:"
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": "3"}', " config key 'dim' must be int, not '3'"),
+    ("[1]", " config must be a JSON object, not list"),
+    ('{"dim": 3,\n', "2:1: malformed JSON: Expecting property name "
+                     "enclosed in double quotes"),
+    ('{"dim": 3, "x": "\xff"}', " not UTF-8 at byte 17: invalid start byte")],
+    ids=["wrong-type", "not-an-object", "malformed", "not-utf8"])
+def test_config_bad_file(tmp_path, chapter_corpus, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(cfg), "train", "--corpus", str(chapter_corpus),
+              "--output", str(tmp_path / "m.txt")])
+    assert str(exit_.value) == f"error: {cfg}:{message}"
+
+
 def test_config_threshold_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"discard_threshold": 0.7}))

@@ -183,6 +183,115 @@ def test_example_skipped_without_context():
     assert stats.skipped == 1 and stats.examples == 0
 
 
+def test_cbow_repeated_context_word_updated_per_occurrence():
+    # context of focus 2 at window 2 is [1, 3, 1, 4]: word 1 occurs twice
+    model = random_model(seed=51, mode=CBOW)
+    sentence, lr = [1, 3, 2, 1, 4], 0.05
+    grads = example_gradients_cbow(model, model.tree, sentence, 2, 2)
+    inputs_before = model.input_vectors.copy()
+    nodes_before = model.node_vectors.copy()
+    assert train_example_cbow(model, model.tree, 2, sentence, lr, window=2)
+    for kind, before, after in (
+            ("input", inputs_before, model.input_vectors),
+            ("node", nodes_before, model.node_vectors)):
+        for row in range(len(before)):
+            expected = -lr * grads.get((kind, row), np.zeros(4))
+            np.testing.assert_allclose(after[row] - before[row], expected,
+                                       rtol=0, atol=1e-12)
+
+
+def reference_hs_step(model, tree, hidden, target_id, lr):
+    """The per-pair step ``train`` used before ``HuffmanTree.step_arrays``:
+    list path, fancy-indexed rows and ``sigmoid(nodes @ h) - (1 - bits)``."""
+    path = list(tree.paths[target_id])
+    bits = np.array(tree.codes[target_id], dtype=float)
+    nodes = model.node_vectors[path]
+    residual = sigmoid(nodes @ hidden) - (1.0 - bits)
+    grad_hidden = residual @ nodes
+    model.node_vectors[path] = nodes - lr * residual[:, None] * hidden
+    return grad_hidden
+
+
+def reference_train(corpus, config):
+    """Per-pair reference trainer: a copy of the focus row per skip-gram
+    pair, and CBOW context rows updated once per occurrence."""
+    vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
+    model = init_model(vocab, config)
+    tree = model.tree
+    encoded = [ids for ids in ([vocab.index[t.lemma] for t in s.tokens
+                                if t.lemma in vocab.index] for s in corpus)
+               if ids]
+    total = sum(map(len, encoded)) * config.epochs
+    seen = 0
+    for _ in range(config.epochs):
+        for ids in encoded:
+            for focus, fid in enumerate(ids):
+                lr = config.lr_start \
+                    - (config.lr_start - config.lr_end) * (seen / total)
+                seen += 1
+                context = [ids[i] for i in range(max(0, focus - config.window),
+                                                 focus + config.window + 1)
+                           if i != focus and i < len(ids)]
+                if not context:
+                    continue
+                if config.mode == CBOW:
+                    hidden = model.input_vectors[context].mean(axis=0)
+                    grad = reference_hs_step(model, tree, hidden, fid, lr)
+                    np.subtract.at(model.input_vectors, context,
+                                   lr * grad / len(context))
+                    continue
+                for cid in context:
+                    hidden = model.input_vectors[fid].copy()
+                    grad = reference_hs_step(model, tree, hidden, cid, lr)
+                    model.input_vectors[fid] -= lr * grad
+    return model
+
+
+def repeats_corpus(path, seed):
+    """Seeded plain corpus over 7 Zipf-weighted words: many repeated words
+    in one window, and one-word sentences that train nothing."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(7)]
+    weights = 1.0 / np.arange(1, 8)
+    lines = [" ".join(rng.choice(words, size=int(rng.integers(1, 10)),
+                                 p=weights / weights.sum()))
+             for _ in range(40)] + ["w0", "w3"]
+    path.write_text("\n".join(lines) + "\n")
+    return load_corpus(path, "plain")
+
+
+@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
+@pytest.mark.parametrize("seed, window, dim", [(1, 1, 3), (2, 2, 5),
+                                               (3, 4, 8)])
+def test_train_matches_reference_trainer(tmp_path, mode, seed, window, dim):
+    corpus = repeats_corpus(tmp_path / "repeats.txt", seed)
+    config = TrainingConfig(mode=mode, window=window, dim=dim, epochs=2,
+                            seed=seed)
+    stats = TrainStats()
+    model = train(corpus, config, stats=stats)
+    expected = reference_train(corpus, config)
+    assert stats.skipped >= 2 * config.epochs
+    assert np.array_equal(model.input_vectors, expected.input_vectors)
+    assert np.array_equal(model.node_vectors, expected.node_vectors)
+
+
+def test_train_records_each_epoch(tmp_path, caplog):
+    corpus = repeats_corpus(tmp_path / "repeats.txt", 4)
+    config = TrainingConfig(dim=4, epochs=3, lr_start=0.02, lr_end=0.002)
+    stats = TrainStats()
+    with caplog.at_level("INFO", logger="metovec.embeddings"):
+        train(corpus, config, stats=stats)
+    assert len(stats.epochs) == 3
+    lrs = [epoch.lr for epoch in stats.epochs]
+    assert lrs == sorted(lrs, reverse=True)
+    assert config.lr_end < lrs[-1] < config.lr_end + 1e-4
+    assert all(epoch.seconds > 0 and epoch.tokens_per_s > 0
+               for epoch in stats.epochs)
+    messages = [record.getMessage() for record in caplog.records]
+    assert [m.split(":")[0] for m in messages if " epoch " in m] == [
+        f"skipgram epoch {i}/3" for i in (1, 2, 3)]
+
+
 @pytest.fixture
 def tiny_corpus(tmp_path):
     text = ("the quick fox jumps over the lazy dog\n"
