@@ -20,6 +20,7 @@ from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 log = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "METOVEC_CONFIG"
+FORMATS = ["vertical", "plain"]
 
 
 @dataclass
@@ -46,6 +47,7 @@ class PipelineConfig:
 
 TRAINING_KEYS = {f.name for f in fields(TrainingConfig)}
 PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"training"}
+CONFIG_KEYS = TRAINING_KEYS | PIPELINE_KEYS
 KEY_TYPES = {key: hint for cls in (PipelineConfig, TrainingConfig)
              for key, hint in typing.get_type_hints(cls).items()
              if key != "training"}
@@ -72,13 +74,22 @@ def _read_config_file(path) -> dict:
         expected = KEY_TYPES.get(key)
         if expected is None:
             continue  # unknown keys are reported by load_config
-        # a JSON integer is a valid float; a boolean is never a number
-        accepted = int | float if expected is float else expected
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if not _is_a(value, expected):
             name = getattr(expected, "__name__", expected)
             raise ValueError(f"{path}: config key {key!r} must be {name}, "
                              f"not {value!r}")
+    for n, entry in enumerate(values.get("verbs", ())):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(map(_is_a, entry, (str, float, str)))):
+            raise ValueError(f"{path}: config key 'verbs' entry {n} must be "
+                             f"[lemma, eventhood, category], not {entry!r}")
     return values
+
+
+def _is_a(value, expected) -> bool:
+    # a JSON integer is a valid float; a boolean is never a number
+    accepted = int | float if expected is float else expected
+    return not isinstance(value, bool) and isinstance(value, accepted)
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -94,7 +105,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    unknown = sorted(values.keys() - TRAINING_KEYS - PIPELINE_KEYS)
+    unknown = sorted(values.keys() - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config key "
                          + ", ".join(repr(key) for key in unknown))
@@ -108,10 +119,7 @@ def _load(path, fmt):
     return corpus_mod.load_corpus(path, fmt)
 
 
-def cmd_vocab(args):
-    config = load_config(args.config, {
-        "train_corpus": args.corpus, "corpus_format": args.format,
-        "max_vocab": args.max_vocab, "min_count": args.min_count})
+def cmd_vocab(args, config):
     corp = _load(config.train_corpus, config.corpus_format)
     vocab = corpus_mod.build_vocabulary(
         corp, config.training.max_vocab, config.training.min_count)
@@ -121,11 +129,7 @@ def cmd_vocab(args):
     print(f"wrote {len(vocab)} words to {args.output}")
 
 
-def cmd_train(args):
-    config = load_config(args.config, {
-        "train_corpus": args.corpus, "corpus_format": args.format,
-        "mode": args.mode, "dim": args.dim, "epochs": args.epochs,
-        "seed": args.seed})
+def cmd_train(args, config):
     corp = _load(config.train_corpus, config.corpus_format)
     stats = TrainStats()
     model = train(corp, config.training, stats=stats)
@@ -136,7 +140,14 @@ def cmd_train(args):
     print(f"examples={stats.examples} skipped={stats.skipped}")
 
 
-def cmd_query(args):
+QUERY_WORDS = {"similarity": 2, "neighbors": 1, "analogy": 3}
+
+
+def cmd_query(args, config):
+    wanted = QUERY_WORDS[args.subcommand]
+    if len(args.words) != wanted:
+        raise ValueError(f"query {args.subcommand} takes {wanted} "
+                         f"word{'s' * (wanted > 1)}, got {len(args.words)}")
     model = load_model(args.model)
     if args.subcommand == "similarity":
         a, b = args.words
@@ -153,9 +164,7 @@ def cmd_query(args):
             print(f"{neighbour}\t{score:.5f}")
 
 
-def cmd_targets(args):
-    config = load_config(args.config, {
-        "test_corpus": args.corpus, "corpus_format": args.format})
+def cmd_targets(args, config):
     corp = _load(config.test_corpus, config.corpus_format)
     targets = metonymy.find_targets(corp, config.verb_specs())
     for t in targets:
@@ -164,10 +173,7 @@ def cmd_targets(args):
     print(f"# {len(targets)} targets", file=sys.stderr)
 
 
-def cmd_paraphrase(args):
-    config = load_config(args.config, {
-        "test_corpus": args.corpus, "corpus_format": args.format,
-        "gold_targets": args.gold_targets})
+def cmd_paraphrase(args, config):
     corp = _load(config.test_corpus, config.corpus_format)
     model = load_model(args.model)
     index = metonymy.index_corpus(corp)
@@ -176,8 +182,7 @@ def cmd_paraphrase(args):
     else:
         targets = metonymy.find_targets(index, config.verb_specs())
     excluded = {spec.lemma for spec in config.verb_specs()}
-    outdir = Path(config.output_dir if args.output_dir is None
-                  else args.output_dir)
+    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for n, target in enumerate(targets, start=1):
         candidates = metonymy.harvest_candidates(
@@ -200,7 +205,7 @@ def _fixture_rows(args):
     return fixture, labels, gold, scored
 
 
-def cmd_eval(args):
+def cmd_eval(args, config):
     fixture, labels, gold, scored = _fixture_rows(args)
     cm = evaluation.confusion(labels, gold, unscored=args.unscored)
     print(f"targets: {len(fixture.targets)}  rows: {len(fixture.rows)}")
@@ -213,7 +218,7 @@ def cmd_eval(args):
         print(f"wrote {args.pr_csv}")
 
 
-def cmd_prcurve(args):
+def cmd_prcurve(args, config):
     _, _, _, scored = _fixture_rows(args)
     _write_pr_csv(scored, args.output)
     print(f"wrote {args.output}")
@@ -237,17 +242,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vocab", help="write word<TAB>count vocabulary file")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["vertical", "plain"], default=None)
-    p.add_argument("--max-vocab", type=int, dest="max_vocab")
-    p.add_argument("--min-count", type=int, dest="min_count")
+    p.add_argument("--corpus", dest="train_corpus", metavar="CORPUS")
+    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    p.add_argument("--max-vocab", type=int)
+    p.add_argument("--min-count", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("train", help="train an embedding model")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["vertical", "plain"], default=None)
-    p.add_argument("--mode", choices=[CBOW, SKIPGRAM], default=None)
+    p.add_argument("--corpus", dest="train_corpus", metavar="CORPUS")
+    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    p.add_argument("--mode", choices=[CBOW, SKIPGRAM])
     p.add_argument("--dim", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
@@ -262,17 +267,17 @@ def build_parser():
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("targets", help="list metonymy targets in a corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["vertical", "plain"], default=None)
+    p.add_argument("--corpus", dest="test_corpus", metavar="CORPUS")
+    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
     p.set_defaults(func=cmd_targets)
 
     p = sub.add_parser("paraphrase", help="rank paraphrase candidates "
                                           "for every target")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["vertical", "plain"], default=None)
+    p.add_argument("--corpus", dest="test_corpus", metavar="CORPUS")
+    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
     p.add_argument("--model", required=True)
-    p.add_argument("--gold-targets", dest="gold_targets")
-    p.add_argument("--output-dir", dest="output_dir")
+    p.add_argument("--gold-targets")
+    p.add_argument("--output-dir")
     p.set_defaults(func=cmd_paraphrase)
 
     p = sub.add_parser("eval", help="confusion / precision / recall / phi "
@@ -296,8 +301,10 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
+    # an option whose dest is a config key overrides that key
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     try:
-        args.func(args)
+        args.func(args, load_config(args.config, overrides))
     except (OSError, ValueError, KeyError,
             evaluation.UndefinedMetricError) as exc:
         raise SystemExit(f"error: {exc}")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,16 +90,18 @@ class EmbeddingModel:
     node_vectors: np.ndarray
     vocab: Vocabulary
     config: TrainingConfig
-    tree: HuffmanTree = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.tree is None and len(self.vocab) >= 2:
-            self.tree = build_huffman_tree(self.vocab)
         v, d = self.input_vectors.shape
         if v != len(self.vocab) or d != self.config.dim:
             raise ValueError("input matrix shape inconsistent with vocab/config")
         if self.node_vectors.shape != (max(v - 1, 0), d):
             raise ValueError("node matrix shape inconsistent with vocab")
+
+    @cached_property
+    def tree(self) -> HuffmanTree:
+        """The Huffman tree of ``vocab``, built on first use."""
+        return build_huffman_tree(self.vocab)
 
     def vector(self, lemma: str) -> np.ndarray:
         try:
@@ -365,28 +368,37 @@ def load_model(path) -> EmbeddingModel:
         lines = [line.rstrip("\n") for line in handle]
     if not lines:
         raise ValueError(f"{path}: empty model file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    v, d = int(header[0]), int(header[1])
+    try:
+        v, d = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"{path}:1: malformed header {lines[0]!r}, "
+                         "expected 'V D'") from None
+    if v < 1 or d < 1:
+        raise ValueError(f"{path}:1: header {lines[0]!r} needs V >= 1 "
+                         "and D >= 1")
     expected = 1 + v + 1 + (v - 1) + 1 + v
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
 
-    def parse_row(line, label):
-        fields = line.rsplit(" ", d)
+    def parse_row(lineno, label):
+        fields = lines[lineno - 1].rsplit(" ", d)
         if len(fields) != d + 1:
-            raise ValueError(f"{path}: bad {label} row {fields[0]!r}")
-        return fields[0], [float(x) for x in fields[1:]]
+            raise ValueError(f"{path}:{lineno}: bad {label} row {fields[0]!r}")
+        try:
+            return fields[0], list(map(float, fields[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {label} entry: "
+                             f"{exc}") from None
 
     words, inputs = [], []
-    for line in lines[1:1 + v]:
-        word, row = parse_row(line, "vector")
+    for lineno in range(2, 2 + v):
+        word, row = parse_row(lineno, "vector")
         words.append(word)
         inputs.append(row)
     if lines[1 + v] != "#nodes":
         raise ValueError(f"{path}: missing #nodes sentinel")
-    nodes = [parse_row(line, "node")[1] for line in lines[2 + v:1 + 2 * v]]
+    nodes = [parse_row(lineno, "node")[1]
+             for lineno in range(3 + v, 2 + 2 * v)]
     if lines[1 + 2 * v] != "#counts":
         raise ValueError(f"{path}: missing #counts sentinel")
     counts = []
@@ -414,6 +426,6 @@ def load_model(path) -> EmbeddingModel:
                              f"non-finite {label} entry")
 
     vocab = Vocabulary(words=tuple(words), counts=tuple(counts),
-                       total_tokens=sum(counts), max_size=max(v, 1))
+                       total_tokens=sum(counts), max_size=v)
     config = TrainingConfig(dim=d)
     return EmbeddingModel(inputs, nodes, vocab, config)

@@ -31,10 +31,6 @@ class HuffmanTree:
                      for path, code in zip(self.paths, self.codes))
 
     @property
-    def n_words(self) -> int:
-        return len(self.codes)
-
-    @property
     def n_internal(self) -> int:
         return len(self.codes) - 1
 

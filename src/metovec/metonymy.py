@@ -46,28 +46,24 @@ class VerbObject:
 MetonymyTarget = CandidateSentence = VerbObject
 
 
-def _is_particle(token) -> bool:
-    return token.pos == "PREP" and token.lemma in PARTICLES
+def _gap_token(token) -> bool:
+    """May stand between a verb and the first noun of its object: a
+    GAP_TAGS token or a particle PREP."""
+    return token.pos in GAP_TAGS or (token.pos == "PREP"
+                                     and token.lemma in PARTICLES)
 
 
 def object_np_after(sentence: Sentence, verb_position: int):
     """The object NP directly governed by the verb, or None.
 
-    Scans forward over at most MAX_GAP determiner/modifier/particle tokens,
-    then takes the maximal NOUN run; the NP head is its last noun.  Any
-    intervening PUNCT, CONJ or VERB aborts the scan.
+    Scans forward over at most MAX_GAP gap tokens (``_gap_token``), then
+    takes the maximal NOUN run; the NP head is its last noun.  Any other
+    token before the first noun aborts the scan.
     """
     tokens = sentence.tokens
     pos = verb_position + 1
-    gap = 0
     while pos < len(tokens) and tokens[pos].pos != "NOUN":
-        token = tokens[pos]
-        if token.pos in ("PUNCT", "CONJ", "VERB"):
-            return None
-        if not (token.pos in GAP_TAGS or _is_particle(token)):
-            return None
-        gap += 1
-        if gap > MAX_GAP:
+        if pos - verb_position > MAX_GAP or not _gap_token(tokens[pos]):
             return None
         pos += 1
     if pos >= len(tokens):
@@ -80,30 +76,24 @@ def object_np_after(sentence: Sentence, verb_position: int):
 
 def validate_direct_object(sentence: Sentence, verb_position: int,
                            np_span: tuple[int, int]) -> bool:
-    """True when the verb plausibly governs the NP as its direct object."""
+    """True when the verb plausibly governs the NP as its direct object:
+    at most MAX_GAP gap tokens between them and a noun closing the span."""
     tokens = sentence.tokens
     np_start, np_end = np_span
     if not (0 <= verb_position < np_start <= np_end <= len(tokens)):
         return False
     between = tokens[verb_position + 1:np_start]
-    if len(between) > MAX_GAP:
-        return False
-    for token in between:
-        if token.pos in ("PUNCT", "CONJ", "VERB"):
-            return False
-        if not (token.pos in GAP_TAGS or _is_particle(token)):
-            return False
-    if between and between[0].pos == "PREP" and not _is_particle(between[0]):
-        return False
-    return tokens[np_end - 1].pos == "NOUN"
+    return (len(between) <= MAX_GAP and all(map(_gap_token, between))
+            and tokens[np_end - 1].pos == "NOUN")
 
 
 def _governed_pairs(sentence: Sentence):
-    """(verb_position, np_span, head) for every validated verb-object pair.
+    """(verb_position, np_span, head) for every verb-object pair.
 
     A verb immediately preceded by punctuation is skipped: that is the
     inversion pattern ("...?' began the top man") where the noun phrase is
-    the subject, not an object.
+    the subject, not an object.  Every span ``object_np_after`` finds
+    passes ``validate_direct_object``.
     """
     for pos, token in enumerate(sentence.tokens):
         if token.pos != "VERB":
@@ -111,11 +101,8 @@ def _governed_pairs(sentence: Sentence):
         if pos > 0 and sentence.tokens[pos - 1].pos == "PUNCT":
             continue
         found = object_np_after(sentence, pos)
-        if found is None:
-            continue
-        np_span, head = found
-        if validate_direct_object(sentence, pos, np_span):
-            yield pos, np_span, head
+        if found is not None:
+            yield pos, *found
 
 
 @dataclass(frozen=True)

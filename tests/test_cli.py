@@ -79,6 +79,68 @@ def test_config_bad_file(tmp_path, chapter_corpus, text, message):
     assert str(exit_.value) == f"error: {cfg}:{message}"
 
 
+@pytest.mark.parametrize("command", [
+    ["eval"], ["prcurve", "--output", "pr.csv"],
+    ["query", "similarity", "--model", "MODEL", "chapter", "chapter"]],
+    ids=["eval", "prcurve", "query"])
+def test_config_checked_by_every_subcommand(tmp_path, trained_model,
+                                            monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimm": 3}))
+    argv = [str(trained_model) if arg == "MODEL" else arg for arg in command]
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(cfg), *argv])
+    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
+    # $METOVEC_CONFIG is read the same way
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
+
+
+@pytest.mark.parametrize("verbs, bad", [
+    ([["read"]], 0),
+    ([["read", 0.5, "aspectual"], ["eat", "0.5", "aspectual"]], 1),
+    ([["read", True, "aspectual"]], 0),
+    ([["read", 0.5, "aspectual", "x"]], 0),
+    ([[1, 0.5, "aspectual"]], 0),
+    (["read"], 0)],
+    ids=["one-field", "string-eventhood", "bool-eventhood", "four-fields",
+         "int-lemma", "not-a-list"])
+def test_config_bad_verbs_entry(tmp_path, chapter_corpus, verbs, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verbs": verbs}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(cfg), "targets", "--corpus",
+              str(chapter_corpus)])
+    assert str(exit_.value) == (
+        f"error: {cfg}: config key 'verbs' entry {bad} must be "
+        f"[lemma, eventhood, category], not {verbs[bad]!r}")
+
+
+def test_config_verbs_entry_accepts_integer_eventhood(tmp_path,
+                                                      chapter_corpus, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verbs": [["read", 1, "aspectual"]]}))
+    main(["--config", str(cfg), "targets", "--corpus", str(chapter_corpus)])
+    assert capsys.readouterr().out.splitlines() == ["doc1\t1\tread\tchapter"]
+
+
+def test_paraphrase_output_dir_from_config(tmp_path, chapter_corpus,
+                                           trained_model):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "from-config")}))
+    argv = ["--config", str(cfg), "paraphrase", "--corpus",
+            str(chapter_corpus), "--model", str(trained_model)]
+    main(argv)
+    assert len(list((tmp_path / "from-config").glob("*.tsv"))) == 1
+    # the flag wins over the file
+    main([*argv, "--output-dir", str(tmp_path / "from-flag")])
+    assert len(list((tmp_path / "from-flag").glob("*.tsv"))) == 1
+    assert len(list((tmp_path / "from-config").glob("*.tsv"))) == 1
+
+
 def test_config_threshold_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"discard_threshold": 0.7}))
@@ -136,6 +198,19 @@ def test_cmd_query_oov(trained_model):
     with pytest.raises(SystemExit):
         main(["query", "similarity", "--model", str(trained_model),
               "chapter", "zygote"])
+
+
+@pytest.mark.parametrize("subcommand, words, message", [
+    ("similarity", ["chapter", "read", "the"],
+     "query similarity takes 2 words, got 3"),
+    ("similarity", ["chapter"], "query similarity takes 2 words, got 1"),
+    ("neighbors", ["chapter", "read"], "query neighbors takes 1 word, got 2"),
+    ("analogy", ["chapter", "read"], "query analogy takes 3 words, got 2")],
+    ids=["similarity-3", "similarity-1", "neighbors-2", "analogy-2"])
+def test_cmd_query_word_count(trained_model, subcommand, words, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", subcommand, "--model", str(trained_model), *words])
+    assert str(exit_.value) == f"error: {message}"
 
 
 def test_cmd_targets(chapter_corpus, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metovec import embeddings
 from metovec.corpus import build_vocabulary, load_corpus
 from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
                                 TrainingConfig, TrainStats,
@@ -14,6 +15,8 @@ from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
                                 init_model, leaf_probability, load_model,
                                 save_model, sigmoid, train,
                                 train_example_cbow, train_example_skipgram)
+from metovec.huffman import build_huffman_tree
+from metovec.vectorspace import nearest_neighbours
 
 from conftest import make_model
 from test_huffman import vocab_from_counts
@@ -397,6 +400,12 @@ def test_load_malformed_header(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         load_model(path)
+    for header, message in [
+            ("a b", "malformed header 'a b', expected 'V D'"),
+            ("3", "malformed header '3', expected 'V D'"),
+            ("-1 2", "header '-1 2' needs V >= 1 and D >= 1"),
+            ("3 0", "header '3 0' needs V >= 1 and D >= 1")]:
+        assert load_error(tmp_path, 1, header) == f"1: {message}"
 
 
 def load_error(tmp_path, lineno, row):
@@ -429,6 +438,38 @@ def test_load_rejects_bad_count_row(tmp_path, lineno, row, message):
 def test_load_rejects_non_finite(tmp_path, lineno, row, label):
     assert load_error(tmp_path, lineno, row) \
         == f"{lineno}: non-finite {label} entry"
+
+
+@pytest.mark.parametrize("lineno, row, message", [
+    (3, "b 3.0 zz", "bad vector entry: could not convert string to float: "
+                    "'zz'"),
+    (6, "n0 zz 1.0", "bad node entry: could not convert string to float: "
+                     "'zz'"),
+    (4, "c 5.0", "bad vector row 'c'")],
+    ids=["vector-field", "node-field", "short-row"])
+def test_load_rejects_bad_field(tmp_path, lineno, row, message):
+    assert load_error(tmp_path, lineno, row) == f"{lineno}: {message}"
+
+
+def test_tree_derived_on_first_use(tmp_path, monkeypatch):
+    model = make_model({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]},
+                       {"a": 3, "b": 2, "c": 1})
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    builds = []
+
+    def counting_build(vocab):
+        builds.append(vocab)
+        return build_huffman_tree(vocab)
+
+    monkeypatch.setattr(embeddings, "build_huffman_tree", counting_build)
+    loaded = load_model(path)
+    nearest_neighbours(loaded, loaded.vector("a"), 2, exclude={"a"})
+    assert builds == []  # loading and querying need no tree
+    tree = loaded.tree
+    assert builds == [loaded.vocab]
+    assert loaded.tree is tree and len(builds) == 1
+    assert tree == build_huffman_tree(loaded.vocab)
 
 
 def test_train_with_prebuilt_vocab(tiny_corpus):

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import (Corpus, CorpusFormatError, Sentence, Token,
                             load_corpus)
-from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, CandidateSentence,
-                              MetonymyTarget, VerbObject, find_targets,
-                              harvest_candidates, index_corpus,
+from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, MAX_GAP, PARTICLES,
+                              CandidateSentence, MetonymyTarget, VerbObject,
+                              find_targets, harvest_candidates, index_corpus,
                               load_gold_targets, object_np_after,
                               validate_direct_object, _governed_pairs)
 
@@ -319,3 +320,95 @@ def test_load_gold_targets_malformed(tmp_path):
 
 def test_gap_tags_stable():
     assert GAP_TAGS == {"DET", "ADJ", "ADV", "NUM"}
+
+
+def reference_object_np_after(sentence, verb_position):
+    """The scan as first written: its own copy of the gap grammar."""
+    tokens = sentence.tokens
+    pos = verb_position + 1
+    gap = 0
+    while pos < len(tokens) and tokens[pos].pos != "NOUN":
+        token = tokens[pos]
+        if token.pos in ("PUNCT", "CONJ", "VERB"):
+            return None
+        if not (token.pos in GAP_TAGS
+                or (token.pos == "PREP" and token.lemma in PARTICLES)):
+            return None
+        gap += 1
+        if gap > MAX_GAP:
+            return None
+        pos += 1
+    if pos >= len(tokens):
+        return None
+    start = pos
+    while pos < len(tokens) and tokens[pos].pos == "NOUN":
+        pos += 1
+    return (start, pos), tokens[pos - 1].lemma
+
+
+def reference_validate(sentence, verb_position, np_span):
+    """The check as first written: a second copy of the gap grammar."""
+    tokens = sentence.tokens
+    np_start, np_end = np_span
+    if not (0 <= verb_position < np_start <= np_end <= len(tokens)):
+        return False
+    between = tokens[verb_position + 1:np_start]
+    if len(between) > MAX_GAP:
+        return False
+    for token in between:
+        if token.pos in ("PUNCT", "CONJ", "VERB"):
+            return False
+        if not (token.pos in GAP_TAGS
+                or (token.pos == "PREP" and token.lemma in PARTICLES)):
+            return False
+    if between and between[0].pos == "PREP" \
+            and between[0].lemma not in PARTICLES:
+        return False
+    return tokens[np_end - 1].pos == "NOUN"
+
+
+def reference_governed_pairs(sentence):
+    """Pairs as first found: every scanned span validated again."""
+    found = []
+    for pos, token in enumerate(sentence.tokens):
+        if token.pos != "VERB":
+            continue
+        if pos > 0 and sentence.tokens[pos - 1].pos == "PUNCT":
+            continue
+        hit = reference_object_np_after(sentence, pos)
+        if hit is not None and reference_validate(sentence, pos, hit[0]):
+            found.append((pos, *hit))
+    return found
+
+
+# every tag, with particles, non-particle PREPs and PUNCT before verbs
+grammar_tokens = st.sampled_from([
+    ("v", "VERB"), ("v", "VERB"), ("n", "NOUN"), ("m", "NOUN"),
+    ("the", "DET"), ("big", "ADJ"), ("very", "ADV"), ("two", "NUM"),
+    ("in", "PREP"), ("up", "PREP"), ("at", "PREP"), ("of", "PREP"),
+    (",", "PUNCT"), ("and", "CONJ"), ("it", "PRON"), ("x", "OTHER")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(grammar_tokens, min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)),
+                max_size=6))
+def test_grammar_matches_reference(tokens, spans):
+    sentence = sent(*((lemma, lemma, pos) for lemma, pos in tokens))
+    n = len(tokens)
+    for verb_position in range(n):
+        assert object_np_after(sentence, verb_position) \
+            == reference_object_np_after(sentence, verb_position)
+        # every span, empty and out of range ones too
+        for start in range(-1, n + 2):
+            for end in range(start, n + 2):
+                assert validate_direct_object(sentence, verb_position,
+                                              (start, end)) \
+                    == reference_validate(sentence, verb_position,
+                                          (start, end))
+    for verb_position in range(-1, n + 1):
+        for span in spans:
+            assert validate_direct_object(sentence, verb_position, span) \
+                == reference_validate(sentence, verb_position, span)
+    assert list(_governed_pairs(sentence)) \
+        == reference_governed_pairs(sentence)
