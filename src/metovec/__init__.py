@@ -1,9 +1,8 @@
 """metovec: word embeddings with hierarchical softmax and paraphrase
 ranking for verbal metonymy ("begin the book" -> "read the book")."""
 
-from .corpus import (Corpus, CorpusFormatError, NextWordCounts, Sentence,
-                     Token, Vocabulary, build_vocabulary, load_corpus,
-                     next_word_counts)
+from .corpus import (CorpusFormatError, NextWordCounts, Sentence, Vocabulary,
+                     build_vocabulary, load_corpus, next_word_counts)
 from .embeddings import (CBOW, SKIPGRAM, EmbeddingModel, EpochStats,
                          NotInVocabularyError, TrainingConfig, TrainStats,
                          init_model, leaf_probability, load_model,
@@ -26,8 +25,8 @@ from .vectorspace import (PhraseVector, analogy, confidence,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "CorpusFormatError", "NextWordCounts", "Sentence", "Token",
-    "Vocabulary", "build_vocabulary", "load_corpus", "next_word_counts",
+    "CorpusFormatError", "NextWordCounts", "Sentence", "Vocabulary",
+    "build_vocabulary", "load_corpus", "next_word_counts",
     "CBOW", "SKIPGRAM", "EmbeddingModel", "EpochStats",
     "NotInVocabularyError",
     "TrainingConfig", "TrainStats", "init_model", "leaf_probability",

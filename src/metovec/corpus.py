@@ -6,6 +6,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from sys import intern
 
 COARSE_TAGS = frozenset({
     "NOUN", "VERB", "ADJ", "DET", "PRON", "ADV",
@@ -25,59 +26,49 @@ class CorpusFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    lemma: str
-    pos: str
-
-    def __post_init__(self):
-        if not self.surface:
-            raise ValueError("empty surface form")
-        if not self.lemma:
-            raise ValueError("empty lemma")
-        if self.pos not in COARSE_TAGS:
-            raise ValueError(f"unknown POS tag {self.pos!r}")
-
-
-@dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    """One sentence as three parallel columns: surface forms, lowercased
+    lemmas and coarse POS tags."""
+
+    tokens: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    tags: tuple[str, ...]
     doc_id: str
     index: int
 
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("sentence has no tokens")
+        if not len(self.tokens) == len(self.lemmas) == len(self.tags):
+            raise ValueError("sentence columns differ in length")
 
     @property
     def ref(self) -> tuple[str, int]:
         return (self.doc_id, self.index)
 
 
-def _plain_token(word: str) -> Token:
-    lemma = word.lower()
-    pos = "PUNCT" if all(c in _PUNCT_CHARS for c in word) else "OTHER"
-    return Token(surface=word, lemma=lemma, pos=pos)
+def _sentence(rows, doc_id, index) -> Sentence:
+    return Sentence(*zip(*rows), doc_id, index)
 
 
 def _read_vertical(path):
     doc_id = str(path)
     index = 0
-    tokens = []
+    rows = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if line.startswith("#doc "):
-                if tokens:
-                    yield Sentence(tuple(tokens), doc_id, index)
-                    tokens = []
+                if rows:
+                    yield _sentence(rows, doc_id, index)
+                    rows = []
                 doc_id = line[len("#doc "):].strip()
                 index = 0
                 continue
             if not line.strip():
-                if tokens:
-                    yield Sentence(tuple(tokens), doc_id, index)
-                    tokens = []
+                if rows:
+                    yield _sentence(rows, doc_id, index)
+                    rows = []
                     index += 1
                 continue
             fields = line.split("\t")
@@ -86,12 +77,16 @@ def _read_vertical(path):
                     path, lineno,
                     f"expected 3 tab-separated fields, got {len(fields)}")
             surface, lemma, pos = fields
-            try:
-                tokens.append(Token(surface, lemma.lower(), pos))
-            except ValueError as exc:
-                raise CorpusFormatError(path, lineno, str(exc)) from exc
-    if tokens:
-        yield Sentence(tuple(tokens), doc_id, index)
+            if not surface:
+                raise CorpusFormatError(path, lineno, "empty surface form")
+            if not lemma:
+                raise CorpusFormatError(path, lineno, "empty lemma")
+            if pos not in COARSE_TAGS:
+                raise CorpusFormatError(path, lineno,
+                                        f"unknown POS tag {pos!r}")
+            rows.append((intern(surface), intern(lemma.lower()), intern(pos)))
+    if rows:
+        yield _sentence(rows, doc_id, index)
 
 
 def _read_plain(path):
@@ -102,25 +97,16 @@ def _read_plain(path):
             words = raw.split()
             if not words:
                 continue
-            yield Sentence(tuple(_plain_token(w) for w in words), doc_id, index)
+            yield Sentence(
+                tuple(words), tuple(w.lower() for w in words),
+                tuple("PUNCT" if all(c in _PUNCT_CHARS for c in w)
+                      else "OTHER" for w in words),
+                doc_id, index)
             index += 1
 
 
-class Corpus:
-    """A re-iterable sequence of sentences loaded from a file."""
-
-    def __init__(self, sentences):
-        self.sentences = tuple(sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __len__(self):
-        return len(self.sentences)
-
-
-def load_corpus(path, format: str = "vertical") -> Corpus:
-    """Read a corpus file.
+def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
+    """Read a corpus file into a tuple of sentences.
 
     ``vertical`` is one ``surface<TAB>lemma<TAB>pos`` token per line with
     blank lines between sentences and ``#doc <id>`` lines starting a new
@@ -132,9 +118,9 @@ def load_corpus(path, format: str = "vertical") -> Corpus:
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
     if format == "vertical":
-        return Corpus(_read_vertical(path))
+        return tuple(_read_vertical(path))
     if format == "plain":
-        return Corpus(_read_plain(path))
+        return tuple(_read_plain(path))
     raise ValueError(f"unknown corpus format {format!r}")
 
 
@@ -175,17 +161,14 @@ def build_vocabulary(corpus, max_size: int, min_count: int = 1) -> Vocabulary:
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts = Counter()
-    total = 0
     for sentence in corpus:
-        for token in sentence.tokens:
-            counts[token.lemma] += 1
-            total += 1
+        counts.update(sentence.lemmas)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     kept = [(w, c) for w, c in ranked if c >= min_count][:max_size]
     return Vocabulary(
         words=tuple(w for w, _ in kept),
         counts=tuple(c for _, c in kept),
-        total_tokens=total,
+        total_tokens=sum(counts.values()),
         max_size=max_size,
     )
 
@@ -213,7 +196,7 @@ def next_word_counts(corpus, vocab: Vocabulary) -> NextWordCounts:
     both as focus and as successor, and no pairs cross sentence boundaries."""
     rows: dict[str, dict[str, int]] = {}
     for sentence in corpus:
-        lemmas = [t.lemma for t in sentence.tokens]
+        lemmas = sentence.lemmas
         for focus, follower in zip(lemmas, lemmas[1:]):
             if focus not in vocab or follower not in vocab:
                 continue

@@ -306,8 +306,8 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
 
     encoded = []
     for sentence in corpus:
-        ids = [vocab.index[t.lemma] for t in sentence.tokens
-               if t.lemma in vocab.index]
+        ids = [vocab.index[lemma] for lemma in sentence.lemmas
+               if lemma in vocab.index]
         if ids:
             encoded.append(ids)
     total_tokens = sum(len(ids) for ids in encoded) * config.epochs

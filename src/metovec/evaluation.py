@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .ranking import NOT_IN_VOCAB, VIABLE
+from .ranking import DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE
 
 FIXTURE_RESOURCE = "reference_rankings.tsv"
+_LABELS = frozenset({VIABLE, REJECTED, DISCARDED, NOT_IN_VOCAB})
 
 
 class UndefinedMetricError(ArithmeticError):
@@ -200,7 +201,19 @@ def load_fixture(path=None) -> Fixture:
         candidate, score_str, label, gold_str = fields
         if gold_str not in ("+", "-"):
             raise ValueError(f"{name}:{lineno}: bad gold label {gold_str!r}")
-        score = None if score_str == "NIV" else float(score_str)
+        if label not in _LABELS:
+            raise ValueError(f"{name}:{lineno}: unknown label {label!r}")
+        if score_str == "NIV":
+            score = None
+        else:
+            try:
+                score = float(score_str)
+            except ValueError:
+                raise ValueError(f"{name}:{lineno}: bad confidence "
+                                 f"{score_str!r}") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{name}:{lineno}: non-finite confidence "
+                                 f"{score_str!r}")
         if (score is None) != (label == NOT_IN_VOCAB):
             raise ValueError(f"{name}:{lineno}: confidence/label mismatch")
         rows.append(FixtureRow(current, candidate, score, label,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, CorpusFormatError, Sentence
+from .corpus import CorpusFormatError, Sentence
 
 # tokens allowed between the verb and the first noun of its object NP
 GAP_TAGS = frozenset({"DET", "ADJ", "ADV", "NUM"})
@@ -46,11 +46,10 @@ class VerbObject:
 MetonymyTarget = CandidateSentence = VerbObject
 
 
-def _gap_token(token) -> bool:
+def _gap_token(tag: str, lemma: str) -> bool:
     """May stand between a verb and the first noun of its object: a
     GAP_TAGS token or a particle PREP."""
-    return token.pos in GAP_TAGS or (token.pos == "PREP"
-                                     and token.lemma in PARTICLES)
+    return tag in GAP_TAGS or (tag == "PREP" and lemma in PARTICLES)
 
 
 def object_np_after(sentence: Sentence, verb_position: int):
@@ -60,49 +59,47 @@ def object_np_after(sentence: Sentence, verb_position: int):
     takes the maximal NOUN run; the NP head is its last noun.  Any other
     token before the first noun aborts the scan.
     """
-    tokens = sentence.tokens
+    tags, lemmas = sentence.tags, sentence.lemmas
     pos = verb_position + 1
-    while pos < len(tokens) and tokens[pos].pos != "NOUN":
-        if pos - verb_position > MAX_GAP or not _gap_token(tokens[pos]):
+    while pos < len(tags) and tags[pos] != "NOUN":
+        if pos - verb_position > MAX_GAP \
+                or not _gap_token(tags[pos], lemmas[pos]):
             return None
         pos += 1
-    if pos >= len(tokens):
+    if pos >= len(tags):
         return None
     start = pos
-    while pos < len(tokens) and tokens[pos].pos == "NOUN":
+    while pos < len(tags) and tags[pos] == "NOUN":
         pos += 1
-    return (start, pos), tokens[pos - 1].lemma
-
-
-def validate_direct_object(sentence: Sentence, verb_position: int,
-                           np_span: tuple[int, int]) -> bool:
-    """True when the verb plausibly governs the NP as its direct object:
-    at most MAX_GAP gap tokens between them and a noun closing the span."""
-    tokens = sentence.tokens
-    np_start, np_end = np_span
-    if not (0 <= verb_position < np_start <= np_end <= len(tokens)):
-        return False
-    between = tokens[verb_position + 1:np_start]
-    return (len(between) <= MAX_GAP and all(map(_gap_token, between))
-            and tokens[np_end - 1].pos == "NOUN")
+    return (start, pos), lemmas[pos - 1]
 
 
 def _governed_pairs(sentence: Sentence):
-    """(verb_position, np_span, head) for every verb-object pair.
+    """(verb_position, np_span, head) for every verb-object pair: the
+    direct-object rule, stated once.
 
     A verb immediately preceded by punctuation is skipped: that is the
     inversion pattern ("...?' began the top man") where the noun phrase is
-    the subject, not an object.  Every span ``object_np_after`` finds
-    passes ``validate_direct_object``.
+    the subject, not an object.
     """
-    for pos, token in enumerate(sentence.tokens):
-        if token.pos != "VERB":
+    tags = sentence.tags
+    for pos, tag in enumerate(tags):
+        if tag != "VERB":
             continue
-        if pos > 0 and sentence.tokens[pos - 1].pos == "PUNCT":
+        if pos > 0 and tags[pos - 1] == "PUNCT":
             continue
         found = object_np_after(sentence, pos)
         if found is not None:
             yield pos, *found
+
+
+def validate_direct_object(sentence: Sentence, verb_position: int,
+                           np_span: tuple[int, int]) -> bool:
+    """True when ``_governed_pairs`` yields the verb with exactly this NP
+    span as its object."""
+    pair = (verb_position, tuple(np_span))
+    return any((pos, span) == pair
+               for pos, span, _ in _governed_pairs(sentence))
 
 
 @dataclass(frozen=True)
@@ -119,14 +116,14 @@ class VerbObjectIndex:
     by_ref: dict[tuple[str, int], tuple[VerbObject, ...]]
 
 
-def index_corpus(corpus: Corpus) -> VerbObjectIndex:
+def index_corpus(corpus) -> VerbObjectIndex:
     """Run ``_governed_pairs`` once per sentence and index the pairs."""
     pairs = []
     by_head = {}
     by_ref = {}
     for sentence in corpus:
         found = tuple(
-            VerbObject(sentence.tokens[pos].lemma, pos, head, np_span,
+            VerbObject(sentence.lemmas[pos], pos, head, np_span,
                        sentence.ref)
             for pos, np_span, head in _governed_pairs(sentence))
         # a ref repeated in the corpus resolves to its last sentence
@@ -149,7 +146,7 @@ def _as_index(corpus) -> VerbObjectIndex:
 def find_targets(corpus, verbs=DEFAULT_VERBS) -> list[VerbObject]:
     """All (metonymic verb, object NP) occurrences in document order.
 
-    ``corpus`` is a Corpus or the VerbObjectIndex of one.
+    ``corpus`` is a sequence of sentences or the VerbObjectIndex of one.
     """
     verb_lemmas = {spec.lemma for spec in verbs}
     return [pair for pair in _as_index(corpus).pairs
@@ -161,8 +158,9 @@ def harvest_candidates(corpus, np_head: str,
     """Sentences where some non-excluded verb governs an NP headed by
     ``np_head``; one candidate per (verb, NP) occurrence, in document order.
 
-    ``corpus`` is a Corpus or the VerbObjectIndex of one; pass the index
-    when harvesting for many heads, so the corpus is scanned only once.
+    ``corpus`` is a sequence of sentences or the VerbObjectIndex of one;
+    pass the index when harvesting for many heads, so the corpus is
+    scanned only once.
     """
     if not np_head:
         raise ValueError("np_head must be non-empty")
@@ -173,7 +171,7 @@ def harvest_candidates(corpus, np_head: str,
 def load_gold_targets(path, corpus) -> list[VerbObject]:
     """Parse a gold-target file: ``doc_id<TAB>index<TAB>verb<TAB>np_head``
     per line.  Each record must resolve to a (verb, NP) pair in ``corpus``,
-    a Corpus or the VerbObjectIndex of one.
+    a sequence of sentences or the VerbObjectIndex of one.
     """
     by_ref = _as_index(corpus).by_ref
     targets = []

@@ -1,7 +1,11 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from metovec.corpus import (CorpusFormatError, build_vocabulary, load_corpus,
-                            next_word_counts)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
+                            build_vocabulary, load_corpus, next_word_counts)
 
 from conftest import write_vertical
 
@@ -27,16 +31,16 @@ def test_plain_mode_lowercases(tmp_path):
     sentences = list(load_corpus(path, "plain"))
     assert len(sentences) == 1
     assert len(sentences[0].tokens) == 6
-    assert [t.lemma for t in sentences[0].tokens] == [
-        "what", "is", "good", "for", "the", "goose"]
-    assert sentences[0].tokens[0].surface == "What"
+    assert sentences[0].lemmas == (
+        "what", "is", "good", "for", "the", "goose")
+    assert sentences[0].tokens[0] == "What"
 
 
 def test_plain_punct_token(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("hello , world !\n")
-    tokens = list(load_corpus(path, "plain"))[0].tokens
-    assert [t.pos for t in tokens] == ["OTHER", "PUNCT", "OTHER", "PUNCT"]
+    tags = list(load_corpus(path, "plain"))[0].tags
+    assert tags == ("OTHER", "PUNCT", "OTHER", "PUNCT")
 
 
 def test_empty_file(tmp_path):
@@ -68,9 +72,31 @@ def test_malformed_vertical_names_line(tmp_path):
 
 def test_bad_pos_tag(tmp_path):
     path = tmp_path / "bad.vert"
-    path.write_text("The\tthe\tDETERMINER\n")
-    with pytest.raises(CorpusFormatError):
+    path.write_text("The\tthe\tDET\ncat\tcat\tDETERMINER\n")
+    with pytest.raises(CorpusFormatError) as err:
         load_corpus(path, "vertical")
+    assert err.value.lineno == 2
+    assert str(err.value) == f"{path}:2: unknown POS tag 'DETERMINER'"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\tthe\tDET", "empty surface form"),
+    ("The\t\tDET", "empty lemma"),
+])
+def test_empty_field_names_line(tmp_path, line, message):
+    path = tmp_path / "bad.vert"
+    path.write_text(f"#doc d\nA\ta\tDET\n\n{line}\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path, "vertical")
+    assert err.value.lineno == 4
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+def test_sentence_columns_same_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        Sentence(("a", "b"), ("a", "b"), ("DET",), "d", 0)
+    with pytest.raises(ValueError, match="no tokens"):
+        Sentence((), (), (), "d", 0)
 
 
 def test_doc_markers(tmp_path):
@@ -171,7 +197,50 @@ def test_row_sum_matches_brute_force(tmp_path):
     for focus in vocab.words:
         expected = 0
         for sentence in corp:
-            lemmas = [t.lemma for t in sentence.tokens]
+            lemmas = sentence.lemmas
             expected += sum(1 for i in range(len(lemmas) - 1)
                             if lemmas[i] == focus and lemmas[i + 1] in vocab)
         assert sum(counts.rows.get(focus, {}).values()) == expected
+
+
+# one vertical field: any UTF-8 text without the tab and line-break
+# characters that delimit fields and lines (spaces and non-ASCII included)
+field_text = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    min_size=1, max_size=8)
+vertical_sentence = st.lists(
+    st.tuples(field_text.filter(lambda s: not s.startswith("#doc ")),
+              field_text, st.sampled_from(sorted(COARSE_TAGS))),
+    min_size=1, max_size=5)
+# each sentence with the number of blank lines written after it
+document_body = st.lists(st.tuples(vertical_sentence, st.integers(0, 3)),
+                         max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), document_body,
+       st.lists(st.tuples(field_text, document_body), max_size=3))
+def test_vertical_round_trip(leading_blanks, unmarked, documents):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.vert"
+        lines = [""] * leading_blanks
+        expected = []
+        for marker, body in [(None, unmarked), *documents]:
+            if marker is None:
+                doc_id = str(path)
+            else:
+                lines.append(f"#doc {marker}")
+                doc_id = marker.strip()
+            for index, (rows, blanks) in enumerate(body):
+                lines.extend("\t".join(row) for row in rows)
+                # sentences of one document need a blank line between them
+                last = index == len(body) - 1
+                lines.extend([""] * (blanks if last else max(blanks, 1)))
+                surfaces, lemmas, tags = zip(*rows)
+                expected.append(((doc_id, index), surfaces,
+                                 tuple(lemma.lower() for lemma in lemmas),
+                                 tags))
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        corpus = load_corpus(path, "vertical")
+    assert [(s.ref, s.tokens, s.lemmas, s.tags) for s in corpus] == expected

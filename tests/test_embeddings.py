@@ -221,8 +221,8 @@ def reference_train(corpus, config):
     vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
     model = init_model(vocab, config)
     tree = model.tree
-    encoded = [ids for ids in ([vocab.index[t.lemma] for t in s.tokens
-                                if t.lemma in vocab.index] for s in corpus)
+    encoded = [ids for ids in ([vocab.index[lemma] for lemma in s.lemmas
+                                if lemma in vocab.index] for s in corpus)
                if ids]
     total = sum(map(len, encoded)) * config.epochs
     seen = 0

@@ -188,3 +188,32 @@ def test_fixture_confusion_totals():
     cm = confusion(labels, gold)
     scored = sum(1 for r in fixture.rows if r.confidence is not None)
     assert cm.total == scored
+
+
+def table_with_row(path, row):
+    path.write_text("#target\tdoc\t0\tbegin\tbook\n"
+                    "Read the book.\t0.5\tViable\t+\n" + row + "\n")
+    return path
+
+
+def test_fixture_bad_confidence(tmp_path):
+    bad = table_with_row(tmp_path / "bad.tsv", "See the book.\tabc\tViable\t+")
+    with pytest.raises(ValueError) as err:
+        load_fixture(bad)
+    assert str(err.value) == f"{bad}:3: bad confidence 'abc'"
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+def test_fixture_non_finite_confidence(tmp_path, score):
+    bad = table_with_row(tmp_path / "bad.tsv",
+                      f"See the book.\t{score}\tViable\t+")
+    with pytest.raises(ValueError) as err:
+        load_fixture(bad)
+    assert str(err.value) == f"{bad}:3: non-finite confidence {score!r}"
+
+
+def test_fixture_unknown_label(tmp_path):
+    bad = table_with_row(tmp_path / "bad.tsv", "See the book.\t0.9\tViabel\t-")
+    with pytest.raises(ValueError) as err:
+        load_fixture(bad)
+    assert str(err.value) == f"{bad}:3: unknown label 'Viabel'"

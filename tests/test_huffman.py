@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -18,15 +19,19 @@ def vocab_from_counts(counts: dict) -> Vocabulary:
     )
 
 
+@functools.cache
 def optimal_weighted_length(weights):
-    """Brute-force minimal prefix-code cost by trying all merge orders."""
+    """Brute-force minimal prefix-code cost by trying all merge orders.
+
+    ``weights`` is a sorted tuple, so each multiset is solved once."""
     if len(weights) == 1:
         return 0
     best = math.inf
     for i, j in itertools.combinations(range(len(weights)), 2):
         merged = [w for k, w in enumerate(weights) if k not in (i, j)]
         merged.append(weights[i] + weights[j])
-        cost = weights[i] + weights[j] + optimal_weighted_length(merged)
+        cost = weights[i] + weights[j] \
+            + optimal_weighted_length(tuple(sorted(merged)))
         best = min(best, cost)
     return best
 
@@ -85,7 +90,7 @@ def test_optimality_brute_force():
         tree = build_huffman_tree(vocab)
         cost = sum(len(code) * count
                    for code, count in zip(tree.codes, vocab.counts))
-        assert cost == optimal_weighted_length(list(vocab.counts))
+        assert cost == optimal_weighted_length(tuple(sorted(vocab.counts)))
 
 
 def test_deterministic():
