@@ -58,7 +58,8 @@ def _read_vertical(path):
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
-            if line.startswith("#doc "):
+            # a token line has tabs, so "#doc x<TAB>..." is a token
+            if line.startswith("#doc ") and "\t" not in line:
                 if rows:
                     yield _sentence(rows, doc_id, index)
                     rows = []
@@ -109,8 +110,8 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     """Read a corpus file into a tuple of sentences.
 
     ``vertical`` is one ``surface<TAB>lemma<TAB>pos`` token per line with
-    blank lines between sentences and ``#doc <id>`` lines starting a new
-    document.  ``plain`` is one sentence per line, whitespace-tokenized,
+    blank lines between sentences and ``#doc <id>`` lines (with no tab)
+    starting a new document.  ``plain`` is one sentence per line, whitespace-tokenized,
     with lemma = lowercased surface and pos = OTHER (PUNCT for
     punctuation-only tokens).
     """

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _hs
 from .corpus import Vocabulary, build_vocabulary
 from .huffman import HuffmanTree, build_huffman_tree
 
@@ -58,11 +59,13 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class EpochStats:
     """One training epoch: the learning rate of its last step, its wall
-    time and its throughput."""
+    time, its throughput and its mean loss (-log leaf probability) per
+    prediction."""
 
     lr: float
     seconds: float
     tokens_per_s: float
+    loss: float
 
 
 @dataclass
@@ -151,7 +154,7 @@ def _hs_forward(model, tree, hidden, target_id):
 def _hs_step(node_vectors, path, target, hidden, lr):
     """One hierarchical-softmax gradient step; returns the grad wrt hidden.
 
-    ``path`` and ``target`` are a word's ``HuffmanTree.step_arrays`` entry.
+    ``path`` and ``target`` are a word's ``HuffmanTree.step_slices``.
     The residual is ``sigmoid(nodes @ hidden) - target``, as in
     ``_hs_forward``, computed in place in the same floating-point order; the
     path's node rows then get ``-(lr * residual)[:, None] * hidden``.  Loss
@@ -198,7 +201,7 @@ def train_example_cbow(model, tree, focus, sentence_ids, lr,
         return False
     inputs = model.input_vectors
     hidden = np.add.reduce(inputs.take(context, 0), 0) / len(context)
-    path, target = tree.step_arrays[sentence_ids[focus]]
+    path, target = tree.step_slices(sentence_ids[focus])
     grad_hidden = _hs_step(model.node_vectors, path, target, hidden, lr)
     update = lr * grad_hidden / len(context)
     for cid in context:
@@ -270,9 +273,8 @@ def train_example_skipgram(model, tree, focus, sentence_ids, lr,
     # a view: each step updates the path nodes before the row itself
     hidden = model.input_vectors[sentence_ids[focus]]
     node_vectors = model.node_vectors
-    step_arrays = tree.step_arrays
     for cid in context:
-        path, target = step_arrays[cid]
+        path, target = tree.step_slices(cid)
         hidden -= lr * _hs_step(node_vectors, path, target, hidden, lr)
         if stats:
             stats.record(len(path))
@@ -293,45 +295,59 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
 
     Single-threaded and deterministic for a fixed seed.  Sentences are
     mapped to vocabulary ids with OOV tokens dropped; the learning rate
-    decays linearly with tokens processed from lr_start to lr_end.
+    decays linearly with tokens processed from lr_start to lr_end.  Each
+    epoch is one call into the compiled loop of ``_hs.c``, which does at
+    every token, in order, what ``train_example_cbow`` /
+    ``train_example_skipgram`` do.  The first call compiles the loop (see
+    ``_hs``), so a missing or failing C compiler raises OSError.
     """
     if vocab is None:
         vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
     if len(vocab) < 2:
         raise ValueError("vocabulary too small to train (need >= 2 words)")
     model = init_model(vocab, config)
-    tree = model.tree
-    step = train_example_cbow if config.mode == CBOW else train_example_skipgram
     stats = stats if stats is not None else TrainStats()
 
-    encoded = []
-    for sentence in corpus:
-        ids = [vocab.index[lemma] for lemma in sentence.lemmas
-               if lemma in vocab.index]
-        if ids:
-            encoded.append(ids)
-    total_tokens = sum(len(ids) for ids in encoded) * config.epochs
+    index = vocab.index
+    encoded = [[index[lemma] for lemma in sentence.lemmas if lemma in index]
+               for sentence in corpus]
+    ids = np.fromiter((i for sentence in encoded for i in sentence),
+                      dtype=np.int32)
+    starts = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(sentence) for sentence in encoded], out=starts[1:])
+    epoch_tokens = len(ids)
+    total_tokens = epoch_tokens * config.epochs
     if total_tokens == 0:
         raise ValueError("corpus has no in-vocabulary tokens")
 
-    seen = 0
-    epoch_tokens = total_tokens // config.epochs
+    epoch_function = _hs.epoch_function()
+    path_starts, path_nodes, targets = model.tree.flat_paths
+    work = np.empty(2 * config.dim)
     for epoch in range(1, config.epochs + 1):
+        counts = np.zeros(4, dtype=np.int64)
+        out = np.zeros(2)
         started = time.perf_counter()
-        for ids in encoded:
-            for focus in range(len(ids)):
-                progress = seen / total_tokens
-                lr = config.lr_start - (config.lr_start - config.lr_end) * progress
-                step(model, tree, focus, ids, lr, stats=stats)
-                seen += 1
+        epoch_function(ids, starts, len(encoded), path_starts, path_nodes,
+                       targets, model.input_vectors, model.node_vectors,
+                       work, config.dim, config.window, config.mode == CBOW,
+                       config.lr_start, config.lr_end,
+                       (epoch - 1) * epoch_tokens, total_tokens, counts, out)
         elapsed = time.perf_counter() - started
-        record = EpochStats(lr=lr, seconds=elapsed,
+        examples, skipped, predictions, node_updates = counts.tolist()
+        stats.examples += examples
+        stats.skipped += skipped
+        stats.predictions += predictions
+        stats.node_updates += node_updates
+        record = EpochStats(lr=float(out[0]), seconds=elapsed,
                             tokens_per_s=epoch_tokens / elapsed
-                            if elapsed else 0.0)
+                            if elapsed else 0.0,
+                            loss=float(out[1]) / predictions
+                            if predictions else 0.0)
         stats.epochs.append(record)
-        log.info("%s epoch %d/%d: lr %.6f, %d tokens in %.2fs "
+        log.info("%s epoch %d/%d: lr %.6f, loss %.4f, %d tokens in %.2fs "
                  "(%.0f tokens/s)", config.mode, epoch, config.epochs,
-                 record.lr, epoch_tokens, record.seconds, record.tokens_per_s)
+                 record.lr, record.loss, epoch_tokens, record.seconds,
+                 record.tokens_per_s)
     log.info("trained %s: %d examples, %d skipped",
              config.mode, stats.examples, stats.skipped)
     return model

@@ -178,7 +178,9 @@ def load_fixture(path=None) -> Fixture:
     targets = []
     rows = []
     current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # "\n" only, as load_corpus and write_table: splitlines() would also
+    # break at U+2028, U+0085 and other characters a phrase may hold
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.startswith("# "):
             continue
         fields = line.split("\t")

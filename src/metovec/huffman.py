@@ -22,13 +22,26 @@ class HuffmanTree:
     paths: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def step_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per word id, ``(path, target)`` as the training step reads them:
-        the path as an ``intp`` array and ``target = 1 - code bits`` as
-        floats, built on first use and kept for the life of the tree."""
-        return tuple((np.array(path, dtype=np.intp),
-                      1.0 - np.array(code, dtype=float))
-                     for path, code in zip(self.paths, self.codes))
+    def flat_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every path in one array, as the trainer reads them:
+        ``(starts, nodes, targets)``.  Word ``w``'s path is
+        ``nodes[starts[w]:starts[w + 1]]`` (``int32`` node ids) and
+        ``targets`` over the same span holds ``1 - code bits`` as floats.
+        Built on first use and kept for the life of the tree."""
+        starts = np.zeros(len(self.paths) + 1, dtype=np.int64)
+        np.cumsum([len(path) for path in self.paths], out=starts[1:])
+        nodes = np.fromiter((n for path in self.paths for n in path),
+                            dtype=np.int32, count=starts[-1])
+        bits = np.fromiter((b for code in self.codes for b in code),
+                           dtype=float, count=starts[-1])
+        return starts, nodes, 1.0 - bits
+
+    def step_slices(self, word: int) -> tuple[np.ndarray, np.ndarray]:
+        """Word ``word``'s path node ids and targets: views into
+        ``flat_paths``."""
+        starts, nodes, targets = self.flat_paths
+        lo, hi = starts[word], starts[word + 1]
+        return nodes[lo:hi], targets[lo:hi]
 
     @property
     def n_internal(self) -> int:

@@ -376,6 +376,24 @@ def test_cmd_eval_perfect_toy_fixture(tmp_path, capsys):
     assert "precision=1.0000 recall=1.0000" in out
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x0c"])
+def test_cmd_eval_fixture_phrase_with_line_separator(tmp_path, capsys,
+                                                      separator):
+    # only "\n" ends a line, as in load_corpus and write_table
+    fixture = tmp_path / "toy.tsv"
+    rows = ("#target\td\t0\tbegin\tbook\n"
+            f"Read the{separator}book.\t0.9\tViable\t+\n"
+            "Burn the book.\t0.1\tDiscarded\t-\n")
+    fixture.write_text(rows, encoding="utf-8")
+    main(["eval", "--fixture", str(fixture)])
+    assert "precision=1.0000 recall=1.0000" in capsys.readouterr().out
+    fixture.write_text(rows + "See the book.\t0.5\tViabel\t-\n",
+                       encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--fixture", str(fixture)])
+    assert err.value.code == f"error: {fixture}:4: unknown label 'Viabel'"
+
+
 def test_cmd_eval_missing_gold_column(tmp_path):
     fixture = tmp_path / "bad.tsv"
     fixture.write_text("#target\td\t0\tbegin\tbook\n"

@@ -79,6 +79,16 @@ def test_bad_pos_tag(tmp_path):
     assert str(err.value) == f"{path}:2: unknown POS tag 'DETERMINER'"
 
 
+def test_doc_marker_has_no_tab(tmp_path):
+    path = tmp_path / "c.vert"
+    path.write_text("#doc a\n#doc x\tfoo\tNOUN\nbook\tbook\tNOUN\n")
+    [sentence] = load_corpus(path, "vertical")
+    assert sentence.ref == ("a", 0)
+    assert sentence.tokens == ("#doc x", "book")
+    assert sentence.lemmas == ("foo", "book")
+    assert sentence.tags == ("NOUN", "NOUN")
+
+
 @pytest.mark.parametrize("line, message", [
     ("\tthe\tDET", "empty surface form"),
     ("The\t\tDET", "empty lemma"),
@@ -209,8 +219,7 @@ field_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
     min_size=1, max_size=8)
 vertical_sentence = st.lists(
-    st.tuples(field_text.filter(lambda s: not s.startswith("#doc ")),
-              field_text, st.sampled_from(sorted(COARSE_TAGS))),
+    st.tuples(field_text, field_text, st.sampled_from(sorted(COARSE_TAGS))),
     min_size=1, max_size=5)
 # each sentence with the number of blank lines written after it
 document_body = st.lists(st.tuples(vertical_sentence, st.integers(0, 3)),

@@ -1,3 +1,5 @@
+import math
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metovec import embeddings
+from metovec import _hs, embeddings
+from metovec.cli import main
 from metovec.corpus import build_vocabulary, load_corpus
 from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
                                 TrainingConfig, TrainStats,
@@ -204,8 +207,8 @@ def test_cbow_repeated_context_word_updated_per_occurrence():
 
 
 def reference_hs_step(model, tree, hidden, target_id, lr):
-    """The per-pair step ``train`` used before ``HuffmanTree.step_arrays``:
-    list path, fancy-indexed rows and ``sigmoid(nodes @ h) - (1 - bits)``."""
+    """The per-pair numpy step of an earlier trainer: list path,
+    fancy-indexed rows and ``sigmoid(nodes @ h) - (1 - bits)``."""
     path = list(tree.paths[target_id])
     bits = np.array(tree.codes[target_id], dtype=float)
     nodes = model.node_vectors[path]
@@ -274,8 +277,185 @@ def test_train_matches_reference_trainer(tmp_path, mode, seed, window, dim):
     model = train(corpus, config, stats=stats)
     expected = reference_train(corpus, config)
     assert stats.skipped >= 2 * config.epochs
+    # numpy sums dot products in BLAS's order, the compiled loop left to
+    # right, so the models agree to rounding, not bit for bit
+    np.testing.assert_allclose(model.input_vectors, expected.input_vectors,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.node_vectors, expected.node_vectors,
+                               rtol=0, atol=1e-12)
+
+
+def python_train(corpus, config):
+    """Sequential trainer in pure Python, in the order of operations of
+    ``train``: dot products and gradients summed left to right from 0.0,
+    ``math.exp`` and ``math.log1p``.  Returns the model, the TrainStats
+    counts and the mean loss per prediction of each epoch."""
+    vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
+    model = init_model(vocab, config)
+    tree = model.tree
+    inputs = model.input_vectors.tolist()
+    nodes = model.node_vectors.tolist()
+    dim = config.dim
+
+    def step(hidden, word, lr):
+        grad = [0.0] * dim
+        loss = 0.0
+        for node_id, bit in zip(tree.paths[word], tree.codes[word]):
+            node = nodes[node_id]
+            score = 0.0
+            for k in range(dim):  # not sum(): it compensates from 3.12 on
+                score += node[k] * hidden[k]
+            score = min(max(score, -6.0), 6.0)
+            e = math.exp(-score)
+            residual = 1.0 / (1.0 + e) - (1.0 - bit)
+            loss += math.log1p(e) + score if bit else math.log1p(e)
+            for k in range(dim):
+                grad[k] += residual * node[k]
+                node[k] -= lr * residual * hidden[k]
+        return grad, loss
+
+    encoded = [ids for ids in ([vocab.index[lemma] for lemma in s.lemmas
+                                if lemma in vocab.index] for s in corpus)
+               if ids]
+    total = sum(map(len, encoded)) * config.epochs
+    seen = 0
+    counts = dict(examples=0, skipped=0, predictions=0, node_updates=0)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        epoch_loss, epoch_predictions = 0.0, 0
+        for ids in encoded:
+            for focus, fid in enumerate(ids):
+                lr = config.lr_start \
+                    - (config.lr_start - config.lr_end) * (seen / total)
+                seen += 1
+                context = (ids[max(0, focus - config.window):focus]
+                           + ids[focus + 1:focus + config.window + 1])
+                if not context:
+                    counts["skipped"] += 1
+                    continue
+                counts["examples"] += 1
+                targets = [fid] if config.mode == CBOW else context
+                for target in targets:
+                    if config.mode == CBOW:
+                        hidden = [0.0] * dim
+                        for cid in context:
+                            for k in range(dim):
+                                hidden[k] += inputs[cid][k]
+                        hidden = [h / len(context) for h in hidden]
+                    else:
+                        hidden = inputs[fid]
+                    grad, loss = step(hidden, target, lr)
+                    epoch_loss += loss
+                    epoch_predictions += 1
+                    counts["node_updates"] += len(tree.paths[target])
+                    if config.mode == CBOW:
+                        update = [lr * g / len(context) for g in grad]
+                        for cid in context:
+                            for k in range(dim):
+                                inputs[cid][k] -= update[k]
+                    else:
+                        for k in range(dim):
+                            hidden[k] -= lr * grad[k]
+        counts["predictions"] += epoch_predictions
+        epoch_losses.append(epoch_loss / epoch_predictions)
+    model.input_vectors[:] = inputs
+    model.node_vectors[:] = nodes
+    return model, counts, epoch_losses
+
+
+@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
+@pytest.mark.parametrize("seed, window, dim", [(1, 1, 3), (2, 2, 5),
+                                               (3, 4, 8), (4, 3, 17)])
+def test_train_matches_python_trainer(tmp_path, mode, seed, window, dim):
+    corpus = repeats_corpus(tmp_path / "repeats.txt", seed)
+    config = TrainingConfig(mode=mode, window=window, dim=dim, epochs=2,
+                            seed=seed)
+    stats = TrainStats()
+    model = train(corpus, config, stats=stats)
+    expected, counts, losses = python_train(corpus, config)
     assert np.array_equal(model.input_vectors, expected.input_vectors)
     assert np.array_equal(model.node_vectors, expected.node_vectors)
+    assert dict(examples=stats.examples, skipped=stats.skipped,
+                predictions=stats.predictions,
+                node_updates=stats.node_updates) == counts
+    assert [epoch.loss for epoch in stats.epochs] \
+        == pytest.approx(losses, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
+def test_train_counts_match_train_example(tmp_path, mode):
+    corpus = repeats_corpus(tmp_path / "repeats.txt", 5)
+    config = TrainingConfig(mode=mode, window=2, dim=4, epochs=2, seed=5)
+    stats = TrainStats()
+    model = train(corpus, config, stats=stats)
+    vocab = model.vocab
+    encoded = [[vocab.index[lemma] for lemma in s.lemmas] for s in corpus]
+    total = sum(map(len, encoded)) * config.epochs
+    expected = init_model(vocab, config)
+    step = train_example_cbow if mode == CBOW else train_example_skipgram
+    expected_stats = TrainStats()
+    seen = 0
+    for _ in range(config.epochs):
+        for ids in encoded:
+            for focus in range(len(ids)):
+                lr = config.lr_start \
+                    - (config.lr_start - config.lr_end) * (seen / total)
+                seen += 1
+                step(expected, expected.tree, focus, ids, lr,
+                     stats=expected_stats)
+    for name in ("examples", "skipped", "predictions", "node_updates"):
+        assert getattr(stats, name) == getattr(expected_stats, name), name
+    np.testing.assert_allclose(model.input_vectors, expected.input_vectors,
+                               rtol=0, atol=1e-12)
+
+
+def test_train_compiles_once_per_cache(tmp_path, monkeypatch, tiny_corpus):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    commands = []
+    run = subprocess.run
+
+    def counting_run(command, **kwargs):
+        commands.append(command)
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    config = TrainingConfig(dim=4, epochs=1)
+    first = train(tiny_corpus, config)
+    train(tiny_corpus, config)
+    assert len(commands) == 1 and commands[0][0] == "cc"
+    _hs._load.cache_clear()  # as a new process would: load the cached file
+    again = train(tiny_corpus, config)
+    assert len(commands) == 1
+    assert [p.name for p in (cache / "metovec").iterdir()] \
+        == [_hs.library_path().name]
+    assert np.array_equal(first.input_vectors, again.input_vectors)
+
+
+@pytest.mark.parametrize("compiler, reason", [
+    (None, "No such file or directory"),
+    ("#!/bin/sh\necho 'fatal error: no space left' >&2\nexit 1\n",
+     "exited 1: fatal error: no space left")], ids=["missing", "failing"])
+def test_train_without_compiler_is_an_error(tmp_path, monkeypatch,
+                                            compiler, reason):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler:
+        (bin_dir / "cc").write_text(compiler)
+        (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the dog barks at the fox\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(corpus), "--format", "plain",
+              "--output", str(tmp_path / "model.txt")])
+    message = str(exc.value.code)
+    assert message.startswith("error: cannot compile the training loop: "
+                              "cc -O2 -ffp-contract=off")
+    assert reason in message
+    assert list((tmp_path / "cache" / "metovec").iterdir()) == []
+    assert not (tmp_path / "model.txt").exists()
 
 
 def test_train_records_each_epoch(tmp_path, caplog):
@@ -290,9 +470,13 @@ def test_train_records_each_epoch(tmp_path, caplog):
     assert config.lr_end < lrs[-1] < config.lr_end + 1e-4
     assert all(epoch.seconds > 0 and epoch.tokens_per_s > 0
                for epoch in stats.epochs)
+    assert all(epoch.loss > 0 for epoch in stats.epochs)
     messages = [record.getMessage() for record in caplog.records]
-    assert [m.split(":")[0] for m in messages if " epoch " in m] == [
+    epoch_lines = [m for m in messages if " epoch " in m]
+    assert [m.split(":")[0] for m in epoch_lines] == [
         f"skipgram epoch {i}/3" for i in (1, 2, 3)]
+    assert [f"loss {epoch.loss:.4f}," in m
+            for m, epoch in zip(epoch_lines, stats.epochs)] == [True] * 3
 
 
 @pytest.fixture
