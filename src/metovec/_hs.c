@@ -18,16 +18,17 @@
 #define CLAMP 6.0
 
 /* one prediction of the word whose path is [lo, hi): updates the nodes,
- * sets grad to the gradient wrt hidden and returns the loss */
-static double hs_step(const int32_t *path_nodes, const double *targets,
-                      int64_t lo, int64_t hi, double *nodes,
-                      const double *hidden, double *grad, int64_t dim,
-                      double lr)
+ * sets grad to the gradient wrt hidden and counts the prediction, its node
+ * updates and its loss */
+static void hs_step(const int32_t *path_nodes, const double *targets,
+                    int64_t lo, int64_t hi, double *nodes,
+                    const double *hidden, double *grad, int64_t dim,
+                    double lr, int64_t *counts, double *out)
 {
     double loss = 0.0;
     memset(grad, 0, dim * sizeof(double));
     for (int64_t j = lo; j < hi; j++) {
-        double *node = nodes + (int64_t)path_nodes[j] * dim;
+        double *node = nodes + path_nodes[j] * dim;
         double s = 0.0;
         for (int64_t k = 0; k < dim; k++)
             s += node[k] * hidden[k];
@@ -42,7 +43,9 @@ static double hs_step(const int32_t *path_nodes, const double *targets,
             node[k] -= g * hidden[k];
         }
     }
-    return loss;
+    counts[2]++;
+    counts[3] += hi - lo;
+    out[1] += loss;
 }
 
 void hs_epoch(const int32_t *ids, const int64_t *starts, int64_t n_sentences,
@@ -75,31 +78,25 @@ void hs_epoch(const int32_t *ids, const int64_t *starts, int64_t n_sentences,
                             hidden[k] += inputs[ids[c] * dim + k];
                 for (int64_t k = 0; k < dim; k++)
                     hidden[k] /= n_context;
-                out[1] += hs_step(path_nodes, targets, path_starts[w],
-                                  path_starts[w + 1], nodes, hidden, grad,
-                                  dim, lr);
+                hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
+                        nodes, hidden, grad, dim, lr, counts, out);
                 for (int64_t k = 0; k < dim; k++)
                     grad[k] = lr * grad[k] / n_context;
                 for (int64_t c = lo; c < hi; c++)
                     if (c != f)
                         for (int64_t k = 0; k < dim; k++)
                             inputs[ids[c] * dim + k] -= grad[k];
-                counts[2]++;
-                counts[3] += path_starts[w + 1] - path_starts[w];
                 continue;
             }
-            double *focus = inputs + (int64_t)ids[f] * dim;
+            double *focus = inputs + ids[f] * dim;
             for (int64_t c = lo; c < hi; c++) {
                 if (c == f)
                     continue;
                 int64_t w = ids[c];
-                out[1] += hs_step(path_nodes, targets, path_starts[w],
-                                  path_starts[w + 1], nodes, focus, grad,
-                                  dim, lr);
+                hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
+                        nodes, focus, grad, dim, lr, counts, out);
                 for (int64_t k = 0; k < dim; k++)
                     focus[k] -= lr * grad[k];
-                counts[2]++;
-                counts[3] += path_starts[w + 1] - path_starts[w];
             }
         }
     }
