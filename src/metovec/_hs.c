@@ -1,16 +1,12 @@
-/* One hierarchical-softmax training epoch, CBOW or Skip-gram.
- *
- * The arithmetic and its order are those of embeddings._hs_step and
- * train_example_*: per node, the score hidden . node summed left to right,
- * clamped to +-6, residual 1 / (1 + exp(-score)) - target; the gradient
- * wrt hidden accumulates residual * node before the node row gets
+/* The hierarchical-softmax training step, CBOW or Skip-gram: hs_example
+ * trains one focus position (train_example_*), hs_epoch every token of an
+ * epoch (train).  Per node, hidden . node is summed left to right and
+ * clamped to +-6, the residual is 1 / (1 + exp(-score)) - target, the
+ * gradient wrt hidden gains residual * node, then the node row gets
  * -(lr * residual) * hidden.  Built with -ffp-contract=off, so no multiply
- * is fused into an add.
- *
- * counts[0..3] gain examples, skipped, predictions and node updates;
- * out[0] is set to the last learning rate and out[1] gains the loss
- * -log p summed over every prediction.
- */
+ * is fused into an add; python_train in tests/test_embeddings.py matches it
+ * bit for bit.  counts[0..3] gain examples, skipped, predictions and node
+ * updates; out[1] gains the loss -log p summed over every prediction. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -48,6 +44,57 @@ static void hs_step(const int32_t *path_nodes, const double *targets,
     out[1] += loss;
 }
 
+/* trains position f of the sentence ids[first, end) with up to window words
+ * each side; work holds 2 * dim doubles.  Returns 0 when f is skipped. */
+int hs_example(const int32_t *ids, int64_t first, int64_t end, int64_t f,
+               const int64_t *path_starts, const int32_t *path_nodes,
+               const double *targets, double *inputs, double *nodes,
+               double *work, int64_t dim, int64_t window, int32_t cbow,
+               double lr, int64_t *counts, double *out)
+{
+    double *hidden = work, *grad = work + dim;
+    int64_t lo = f - window > first ? f - window : first;
+    int64_t hi = f + window + 1 < end ? f + window + 1 : end;
+    int64_t n_context = hi - lo - 1;
+    if (n_context == 0) {
+        counts[1]++;
+        return 0;
+    }
+    counts[0]++;
+    if (cbow) {
+        int64_t w = ids[f];
+        memset(hidden, 0, dim * sizeof(double));
+        for (int64_t c = lo; c < hi; c++)
+            if (c != f)
+                for (int64_t k = 0; k < dim; k++)
+                    hidden[k] += inputs[ids[c] * dim + k];
+        for (int64_t k = 0; k < dim; k++)
+            hidden[k] /= n_context;
+        hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
+                nodes, hidden, grad, dim, lr, counts, out);
+        for (int64_t k = 0; k < dim; k++)
+            grad[k] = lr * grad[k] / n_context;
+        for (int64_t c = lo; c < hi; c++)
+            if (c != f)
+                for (int64_t k = 0; k < dim; k++)
+                    inputs[ids[c] * dim + k] -= grad[k];
+        return 1;
+    }
+    double *focus = inputs + ids[f] * dim;
+    for (int64_t c = lo; c < hi; c++) {
+        if (c == f)
+            continue;
+        int64_t w = ids[c];
+        hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
+                nodes, focus, grad, dim, lr, counts, out);
+        for (int64_t k = 0; k < dim; k++)
+            focus[k] -= lr * grad[k];
+    }
+    return 1;
+}
+
+/* one epoch, from token seen, over the sentences ids[starts[s], starts[s+1]);
+ * lr falls linearly from lr_start at token 0 to lr_end at token total */
 void hs_epoch(const int32_t *ids, const int64_t *starts, int64_t n_sentences,
               const int64_t *path_starts, const int32_t *path_nodes,
               const double *targets, double *inputs, double *nodes,
@@ -55,50 +102,13 @@ void hs_epoch(const int32_t *ids, const int64_t *starts, int64_t n_sentences,
               double lr_start, double lr_end, int64_t seen, int64_t total,
               int64_t *counts, double *out)
 {
-    double *hidden = work, *grad = work + dim;
     double lr = lr_start;
-    for (int64_t s = 0; s < n_sentences; s++) {
-        int64_t first = starts[s], end = starts[s + 1];
-        for (int64_t f = first; f < end; f++, seen++) {
+    for (int64_t s = 0; s < n_sentences; s++)
+        for (int64_t f = starts[s]; f < starts[s + 1]; f++, seen++) {
             lr = lr_start - (lr_start - lr_end) * ((double)seen / total);
-            int64_t lo = f - window > first ? f - window : first;
-            int64_t hi = f + window + 1 < end ? f + window + 1 : end;
-            int64_t n_context = hi - lo - 1;
-            if (n_context == 0) {
-                counts[1]++;
-                continue;
-            }
-            counts[0]++;
-            if (cbow) {
-                int64_t w = ids[f];
-                memset(hidden, 0, dim * sizeof(double));
-                for (int64_t c = lo; c < hi; c++)
-                    if (c != f)
-                        for (int64_t k = 0; k < dim; k++)
-                            hidden[k] += inputs[ids[c] * dim + k];
-                for (int64_t k = 0; k < dim; k++)
-                    hidden[k] /= n_context;
-                hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
-                        nodes, hidden, grad, dim, lr, counts, out);
-                for (int64_t k = 0; k < dim; k++)
-                    grad[k] = lr * grad[k] / n_context;
-                for (int64_t c = lo; c < hi; c++)
-                    if (c != f)
-                        for (int64_t k = 0; k < dim; k++)
-                            inputs[ids[c] * dim + k] -= grad[k];
-                continue;
-            }
-            double *focus = inputs + ids[f] * dim;
-            for (int64_t c = lo; c < hi; c++) {
-                if (c == f)
-                    continue;
-                int64_t w = ids[c];
-                hs_step(path_nodes, targets, path_starts[w], path_starts[w + 1],
-                        nodes, focus, grad, dim, lr, counts, out);
-                for (int64_t k = 0; k < dim; k++)
-                    focus[k] -= lr * grad[k];
-            }
+            hs_example(ids, starts[s], starts[s + 1], f, path_starts,
+                       path_nodes, targets, inputs, nodes, work, dim, window,
+                       cbow, lr, counts, out);
         }
-    }
     out[0] = lr;
 }

@@ -1,4 +1,6 @@
-"""Build and load ``_hs.c``, the compiled hierarchical-softmax epoch loop.
+"""Build and load ``_hs.c``, the one hierarchical-softmax training step:
+``hs_example`` trains one focus position (``embeddings.train_example_*``)
+and ``hs_epoch`` calls it at every token of an epoch (``embeddings.train``).
 
 The library is compiled with the local ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/metovec`` (``~/.cache/metovec`` when that is unset), keyed
@@ -18,22 +20,21 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_hs.c")
-# no fast-math and no fused multiply-add: the loop must round every
-# operation as the numpy step does
+# no fast-math and no fused multiply-add: the step must round every
+# operation as written, as python_train in the tests does
 COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-
-def _array(dtype):
-    return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
-
-
-_ARGTYPES = (
-    _array(np.int32), _array(np.int64), ctypes.c_int64,  # ids, starts, n
-    _array(np.int64), _array(np.int32), _array(np.float64),  # paths
-    _array(np.float64), _array(np.float64), _array(np.float64),  # matrices
-    ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,  # dim, window, cbow
-    ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-    _array(np.int64), _array(np.float64))  # counts, out
+_I32, _I64, _F64 = (np.ctypeslib.ndpointer(dtype=t, flags="C_CONTIGUOUS")
+                    for t in (np.int32, np.int64, np.float64))
+_INT, _LONG, _DOUBLE = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+# paths (starts, nodes, targets), inputs, nodes, work, dim, window, cbow
+_SHARED = (_I64, _I32, _F64, _F64, _F64, _F64, _LONG, _LONG, _INT)
+_SIGNATURES = {  # name: (argtypes, restype), as declared in _hs.c
+    "hs_epoch": ((_I32, _I64, _LONG, *_SHARED, _DOUBLE, _DOUBLE, _LONG,
+                  _LONG, _I64, _F64), None),
+    "hs_example": ((_I32, _LONG, _LONG, _LONG, *_SHARED, _DOUBLE, _I64,
+                    _F64), ctypes.c_int),
+}
 
 
 def library_path() -> Path:
@@ -45,8 +46,8 @@ def library_path() -> Path:
     return Path(base) / "metovec" / f"_hs-{key:08x}.so"
 
 
-def epoch_function():
-    """The C ``hs_epoch`` function, compiled first when not cached."""
+def library():
+    """The compiled ``_hs.c``, C signatures set; built when not cached."""
     return _load(library_path())
 
 
@@ -54,10 +55,11 @@ def epoch_function():
 def _load(path: Path):
     if not path.exists():
         _build(path)
-    function = ctypes.CDLL(str(path)).hs_epoch
-    function.argtypes = _ARGTYPES
-    function.restype = None
-    return function
+    lib = ctypes.CDLL(str(path))
+    for name, signature in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype = signature
+    return lib
 
 
 def _build(path: Path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from sys import intern
@@ -23,6 +24,24 @@ class CorpusFormatError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
         self.lineno = lineno
+
+
+@contextmanager
+def open_utf8(path):
+    """``open(path, encoding="utf-8")`` whose decode error names the line,
+    ``path:line: not UTF-8: ...``.  To find it, the file is read again in
+    binary and split at LF, CR and CRLF, as text mode splits it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not UTF-8: {exc}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -55,7 +74,7 @@ def _read_vertical(path):
     doc_id = str(path)
     index = 0
     rows = []
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             # a token line has tabs, so "#doc x<TAB>..." is a token
@@ -93,7 +112,7 @@ def _read_vertical(path):
 def _read_plain(path):
     doc_id = str(path)
     index = 0
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for raw in handle:
             words = raw.split()
             if not words:

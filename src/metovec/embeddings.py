@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _hs
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import Vocabulary, build_vocabulary, open_utf8
 from .huffman import HuffmanTree, build_huffman_tree
 
 log = logging.getLogger(__name__)
@@ -76,9 +76,11 @@ class TrainStats:
     predictions: int = 0
     epochs: list[EpochStats] = field(default_factory=list)
 
-    def record(self, touched: int):
-        self.predictions += 1
-        self.node_updates += touched
+    def add(self, counts):
+        """Add the examples, skipped, predictions, node_updates of _hs.c."""
+        for name, count in zip(("examples", "skipped", "predictions",
+                                "node_updates"), counts.tolist()):
+            setattr(self, name, getattr(self, name) + count)
 
     @property
     def mean_node_updates(self) -> float:
@@ -151,31 +153,6 @@ def _hs_forward(model, tree, hidden, target_id):
     return path, nodes, residual
 
 
-def _hs_step(node_vectors, path, target, hidden, lr):
-    """One hierarchical-softmax gradient step; returns the grad wrt hidden.
-
-    ``path`` and ``target`` are a word's ``HuffmanTree.step_slices``.
-    The residual is ``sigmoid(nodes @ hidden) - target``, as in
-    ``_hs_forward``, computed in place in the same floating-point order; the
-    path's node rows then get ``-(lr * residual)[:, None] * hidden``.  Loss
-    is -log leaf_probability.
-    """
-    nodes = node_vectors.take(path, 0)
-    residual = nodes @ hidden
-    np.maximum(residual, -SIGMOID_CLAMP, out=residual)
-    np.minimum(residual, SIGMOID_CLAMP, out=residual)
-    np.negative(residual, out=residual)
-    np.exp(residual, out=residual)
-    residual += 1.0
-    np.reciprocal(residual, out=residual)  # 1 / x, the same division
-    residual -= target
-    grad_hidden = residual @ nodes
-    residual *= lr
-    nodes -= residual[:, None] * hidden
-    node_vectors[path] = nodes
-    return grad_hidden
-
-
 def example_loss_cbow(model, tree, sentence_ids, focus, window):
     """-log p(focus | mean of context inputs); None when no in-vocab context."""
     context = _context_ids(sentence_ids, focus, window)
@@ -193,23 +170,8 @@ def train_example_cbow(model, tree, focus, sentence_ids, lr,
     A context word that occurs k times in the window gets k updates, as in
     word2vec.c and ``example_gradients_cbow``.
     """
-    window = model.config.window if window is None else window
-    context = _context_ids(sentence_ids, focus, window)
-    if not context:
-        if stats:
-            stats.skipped += 1
-        return False
-    inputs = model.input_vectors
-    hidden = np.add.reduce(inputs.take(context, 0), 0) / len(context)
-    path, target = tree.step_slices(sentence_ids[focus])
-    grad_hidden = _hs_step(model.node_vectors, path, target, hidden, lr)
-    update = lr * grad_hidden / len(context)
-    for cid in context:
-        inputs[cid] -= update
-    if stats:
-        stats.examples += 1
-        stats.record(len(path))
-    return True
+    return _train_example(model, tree, focus, sentence_ids, lr, window,
+                          stats, cbow=True)
 
 
 def example_gradients_cbow(model, tree, sentence_ids, focus, window):
@@ -261,26 +223,38 @@ def example_loss_skipgram(model, tree, sentence_ids, focus, window):
         loss -= np.log(leaf_probability(model, tree, hidden, word))
     return loss
 
+
 def train_example_skipgram(model, tree, focus, sentence_ids, lr,
                            window=None, stats=None):
-    """One gradient step per (focus input vector, context target) pair."""
+    """One gradient step per (focus, context word) pair; False if skipped."""
+    return _train_example(model, tree, focus, sentence_ids, lr, window,
+                          stats, cbow=False)
+
+
+def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
+    """``hs_example`` of ``_hs.c``, the step ``train`` runs, at ``focus``;
+    C checks no bounds, so the ids, tree and window are checked first."""
     window = model.config.window if window is None else window
-    context = _context_ids(sentence_ids, focus, window)
-    if not context:
-        if stats:
-            stats.skipped += 1
-        return False
-    # a view: each step updates the path nodes before the row itself
-    hidden = model.input_vectors[sentence_ids[focus]]
-    node_vectors = model.node_vectors
-    for cid in context:
-        path, target = tree.step_slices(cid)
-        hidden -= lr * _hs_step(node_vectors, path, target, hidden, lr)
-        if stats:
-            stats.record(len(path))
-    if stats:
-        stats.examples += 1
-    return True
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    vocab_size = len(model.vocab)
+    if len(tree.codes) != vocab_size:
+        raise ValueError(f"tree of {len(tree.codes)} words, not {vocab_size}")
+    ids = np.array(sentence_ids, dtype=np.int64)
+    if not 0 <= focus < len(ids):
+        raise IndexError(f"focus {focus} outside a sentence of {len(ids)}")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IndexError(f"word id outside [0, {vocab_size})")
+    path_starts, path_nodes, targets = tree.flat_paths
+    counts = np.zeros(4, dtype=np.int64)
+    trained = _hs.library().hs_example(
+        ids.astype(np.int32), 0, len(ids), focus, path_starts, path_nodes,
+        targets, model.input_vectors, model.node_vectors,
+        np.empty(2 * model.config.dim), model.config.dim, window, cbow, lr,
+        counts, np.zeros(2))
+    if stats is not None:
+        stats.add(counts)
+    return bool(trained)
 
 
 def _context_ids(sentence_ids, focus, window):
@@ -296,10 +270,10 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     Single-threaded and deterministic for a fixed seed.  Sentences are
     mapped to vocabulary ids with OOV tokens dropped; the learning rate
     decays linearly with tokens processed from lr_start to lr_end.  Each
-    epoch is one call into the compiled loop of ``_hs.c``, which does at
-    every token, in order, what ``train_example_cbow`` /
-    ``train_example_skipgram`` do.  The first call compiles the loop (see
-    ``_hs``), so a missing or failing C compiler raises OSError.
+    epoch is one ``hs_epoch`` call into ``_hs.c``: one ``hs_example``, the
+    step ``train_example_*`` run, per token.  The first call compiles it
+    (see ``_hs``), so a missing or failing C compiler raises OSError.
+    ``python_train`` in tests/test_embeddings.py is its bit-exact reference.
     """
     if vocab is None:
         vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
@@ -320,7 +294,7 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     if total_tokens == 0:
         raise ValueError("corpus has no in-vocabulary tokens")
 
-    epoch_function = _hs.epoch_function()
+    epoch_function = _hs.library().hs_epoch
     path_starts, path_nodes, targets = model.tree.flat_paths
     work = np.empty(2 * config.dim)
     for epoch in range(1, config.epochs + 1):
@@ -333,11 +307,8 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
                        config.lr_start, config.lr_end,
                        (epoch - 1) * epoch_tokens, total_tokens, counts, out)
         elapsed = time.perf_counter() - started
-        examples, skipped, predictions, node_updates = counts.tolist()
-        stats.examples += examples
-        stats.skipped += skipped
-        stats.predictions += predictions
-        stats.node_updates += node_updates
+        stats.add(counts)
+        predictions = int(counts[2])
         record = EpochStats(lr=float(out[0]), seconds=elapsed,
                             tokens_per_s=epoch_tokens / elapsed
                             if elapsed else 0.0,
@@ -380,7 +351,7 @@ def save_model(model: EmbeddingModel, path):
 
 def load_model(path) -> EmbeddingModel:
     """Read a model written by save_model; raises on truncation/mismatch."""
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         lines = [line.rstrip("\n") for line in handle]
     if not lines:
         raise ValueError(f"{path}: empty model file")

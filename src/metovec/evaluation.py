@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .corpus import open_utf8
 from .ranking import DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE
 
 FIXTURE_RESOURCE = "reference_rankings.tsv"
@@ -172,7 +173,7 @@ def load_fixture(path=None) -> Fixture:
             .read_text(encoding="utf-8")
         name = FIXTURE_RESOURCE
     else:
-        with open(path, encoding="utf-8") as handle:
+        with open_utf8(path) as handle:
             text = handle.read()
         name = str(path)
     targets = []

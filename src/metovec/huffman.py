@@ -36,13 +36,6 @@ class HuffmanTree:
                            dtype=float, count=starts[-1])
         return starts, nodes, 1.0 - bits
 
-    def step_slices(self, word: int) -> tuple[np.ndarray, np.ndarray]:
-        """Word ``word``'s path node ids and targets: views into
-        ``flat_paths``."""
-        starts, nodes, targets = self.flat_paths
-        lo, hi = starts[word], starts[word + 1]
-        return nodes[lo:hi], targets[lo:hi]
-
     @property
     def n_internal(self) -> int:
         return len(self.codes) - 1

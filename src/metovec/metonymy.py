@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import CorpusFormatError, Sentence
+from .corpus import CorpusFormatError, Sentence, open_utf8
 
 # tokens allowed between the verb and the first noun of its object NP
 GAP_TAGS = frozenset({"DET", "ADJ", "ADV", "NUM"})
@@ -175,7 +175,7 @@ def load_gold_targets(path, corpus) -> list[VerbObject]:
     """
     by_ref = _as_index(corpus).by_ref
     targets = []
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -74,7 +74,8 @@ def phrase_vector(model: EmbeddingModel, lemmas) -> PhraseVector:
 
 def nearest_neighbours(model: EmbeddingModel, query, k: int,
                        exclude=frozenset()) -> list[tuple[str, float]]:
-    """Top-k (word, cosine) pairs by descending score, ties by vocab id."""
+    """Top-k (word, cosine) pairs by descending score, ties by vocab id;
+    rows of norm 0 have no cosine and are left out."""
     if k <= 0:
         return []
     query = np.asarray(query, dtype=float)
@@ -82,9 +83,11 @@ def nearest_neighbours(model: EmbeddingModel, query, k: int,
     if qnorm == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm query")
     norms = np.linalg.norm(model.input_vectors, axis=1)
-    scores = (model.input_vectors @ query) / (norms * qnorm)
-    results = [(wid, float(scores[wid])) for wid in range(len(model.vocab))
-               if model.vocab.words[wid] not in exclude]
+    scores = model.input_vectors @ query
+    np.divide(scores, norms * qnorm, out=scores, where=norms != 0.0)
+    scores, words = scores.tolist(), model.vocab.words
+    results = [(wid, scores[wid]) for wid in np.flatnonzero(norms).tolist()
+               if words[wid] not in exclude]
     results.sort(key=lambda item: (-item[1], item[0]))
     return [(model.vocab.words[wid], score) for wid, score in results[:k]]
 

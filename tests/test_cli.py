@@ -402,6 +402,37 @@ def test_cmd_eval_missing_gold_column(tmp_path):
         main(["eval", "--fixture", str(fixture)])
 
 
+@pytest.mark.parametrize("kind", ["vertical", "plain", "model", "fixture",
+                                  "gold-targets"])
+def test_non_utf8_input_is_located(tmp_path, chapter_corpus, trained_model,
+                                   kind):
+    """A byte 0xe9 (Latin-1 "é") on line 3 of each kind of input file."""
+    bad = tmp_path / "bad.txt"
+    corpus, model = str(chapter_corpus), str(trained_model)
+    vocab = str(tmp_path / "vocab.tsv")
+    source, argv = {
+        "vertical": (chapter_corpus,
+                     ["vocab", "--corpus", str(bad), "--output", vocab]),
+        "plain": (None, ["vocab", "--corpus", str(bad), "--format", "plain",
+                         "--output", vocab]),
+        "model": (trained_model,
+                  ["query", "neighbors", "--model", str(bad), "chapter"]),
+        "fixture": (None, ["eval", "--fixture", str(bad)]),
+        "gold-targets": (None, ["paraphrase", "--corpus", corpus, "--model",
+                                model, "--gold-targets", str(bad),
+                                "--output-dir", str(tmp_path / "tables")]),
+    }[kind]
+    lines = (source.read_bytes().split(b"\n") if source
+             else [b"#target\td\t0\tbegin\tbook", b"", b" au lait"])
+    lines[2] = b"caf\xe9" + lines[2]
+    bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == (
+        f"error: {bad}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in "
+        "position 3: invalid continuation byte")
+
+
 def test_cmd_prcurve(tmp_path):
     out = tmp_path / "pr.csv"
     main(["prcurve", "--output", str(out)])

@@ -189,8 +189,36 @@ def test_example_skipped_without_context():
     assert stats.skipped == 1 and stats.examples == 0
 
 
+def other_tree(model):
+    """The Huffman tree of a vocabulary one word larger than ``model``'s."""
+    return build_huffman_tree(vocab_from_counts(
+        {f"x{i}": i + 1 for i in range(len(model.vocab) + 1)}))
+
+
+@pytest.mark.parametrize("step", [train_example_cbow, train_example_skipgram])
+@pytest.mark.parametrize("sentence, focus, tree, window, error", [
+    ([0, -1, 2], 1, None, 2, IndexError),
+    ([0, 6, 2], 0, None, 2, IndexError),
+    ([0, 1, 2], 3, None, 2, IndexError),
+    ([0, 1, 2], 1, other_tree, 2, ValueError),
+    ([0, 1, 2], 1, None, 0, ValueError)],
+    ids=["negative-id", "id-equal-to-V", "focus-past-end", "other-tree",
+         "window-0"])
+def test_train_example_checks_bounds(step, sentence, focus, tree, window,
+                                     error):
+    model = random_model(seed=61)  # V = 6
+    tree = tree(model) if tree else model.tree
+    inputs_before = model.input_vectors.copy()
+    nodes_before = model.node_vectors.copy()
+    with pytest.raises(error):
+        step(model, tree, focus, sentence, 0.05, window=window)
+    assert np.array_equal(model.input_vectors, inputs_before)
+    assert np.array_equal(model.node_vectors, nodes_before)
+
+
 def test_cbow_repeated_context_word_updated_per_occurrence():
-    # context of focus 2 at window 2 is [1, 3, 1, 4]: word 1 occurs twice
+    # the compiled step against the numpy gradient oracle; the context of
+    # focus 2 at window 2 is [1, 3, 1, 4], so word 1 occurs twice
     model = random_model(seed=51, mode=CBOW)
     sentence, lr = [1, 3, 2, 1, 4], 0.05
     grads = example_gradients_cbow(model, model.tree, sentence, 2, 2)
@@ -206,53 +234,6 @@ def test_cbow_repeated_context_word_updated_per_occurrence():
                                        rtol=0, atol=1e-12)
 
 
-def reference_hs_step(model, tree, hidden, target_id, lr):
-    """The per-pair numpy step of an earlier trainer: list path,
-    fancy-indexed rows and ``sigmoid(nodes @ h) - (1 - bits)``."""
-    path = list(tree.paths[target_id])
-    bits = np.array(tree.codes[target_id], dtype=float)
-    nodes = model.node_vectors[path]
-    residual = sigmoid(nodes @ hidden) - (1.0 - bits)
-    grad_hidden = residual @ nodes
-    model.node_vectors[path] = nodes - lr * residual[:, None] * hidden
-    return grad_hidden
-
-
-def reference_train(corpus, config):
-    """Per-pair reference trainer: a copy of the focus row per skip-gram
-    pair, and CBOW context rows updated once per occurrence."""
-    vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
-    model = init_model(vocab, config)
-    tree = model.tree
-    encoded = [ids for ids in ([vocab.index[lemma] for lemma in s.lemmas
-                                if lemma in vocab.index] for s in corpus)
-               if ids]
-    total = sum(map(len, encoded)) * config.epochs
-    seen = 0
-    for _ in range(config.epochs):
-        for ids in encoded:
-            for focus, fid in enumerate(ids):
-                lr = config.lr_start \
-                    - (config.lr_start - config.lr_end) * (seen / total)
-                seen += 1
-                context = [ids[i] for i in range(max(0, focus - config.window),
-                                                 focus + config.window + 1)
-                           if i != focus and i < len(ids)]
-                if not context:
-                    continue
-                if config.mode == CBOW:
-                    hidden = model.input_vectors[context].mean(axis=0)
-                    grad = reference_hs_step(model, tree, hidden, fid, lr)
-                    np.subtract.at(model.input_vectors, context,
-                                   lr * grad / len(context))
-                    continue
-                for cid in context:
-                    hidden = model.input_vectors[fid].copy()
-                    grad = reference_hs_step(model, tree, hidden, cid, lr)
-                    model.input_vectors[fid] -= lr * grad
-    return model
-
-
 def repeats_corpus(path, seed):
     """Seeded plain corpus over 7 Zipf-weighted words: many repeated words
     in one window, and one-word sentences that train nothing."""
@@ -266,29 +247,11 @@ def repeats_corpus(path, seed):
     return load_corpus(path, "plain")
 
 
-@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
-@pytest.mark.parametrize("seed, window, dim", [(1, 1, 3), (2, 2, 5),
-                                               (3, 4, 8)])
-def test_train_matches_reference_trainer(tmp_path, mode, seed, window, dim):
-    corpus = repeats_corpus(tmp_path / "repeats.txt", seed)
-    config = TrainingConfig(mode=mode, window=window, dim=dim, epochs=2,
-                            seed=seed)
-    stats = TrainStats()
-    model = train(corpus, config, stats=stats)
-    expected = reference_train(corpus, config)
-    assert stats.skipped >= 2 * config.epochs
-    # numpy sums dot products in BLAS's order, the compiled loop left to
-    # right, so the models agree to rounding, not bit for bit
-    np.testing.assert_allclose(model.input_vectors, expected.input_vectors,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(model.node_vectors, expected.node_vectors,
-                               rtol=0, atol=1e-12)
-
-
 def python_train(corpus, config):
-    """Sequential trainer in pure Python, in the order of operations of
-    ``train``: dot products and gradients summed left to right from 0.0,
-    ``math.exp`` and ``math.log1p``.  Returns the model, the TrainStats
+    """Sequential trainer in pure Python, the reference for the one
+    compiled step that ``train`` and ``train_example_*`` run, in its order
+    of operations: dot products and gradients summed left to right from
+    0.0, ``math.exp`` and ``math.log1p``.  Returns the model, the TrainStats
     counts and the mean loss per prediction of each epoch."""
     vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
     model = init_model(vocab, config)
@@ -380,33 +343,6 @@ def test_train_matches_python_trainer(tmp_path, mode, seed, window, dim):
                 node_updates=stats.node_updates) == counts
     assert [epoch.loss for epoch in stats.epochs] \
         == pytest.approx(losses, rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
-def test_train_counts_match_train_example(tmp_path, mode):
-    corpus = repeats_corpus(tmp_path / "repeats.txt", 5)
-    config = TrainingConfig(mode=mode, window=2, dim=4, epochs=2, seed=5)
-    stats = TrainStats()
-    model = train(corpus, config, stats=stats)
-    vocab = model.vocab
-    encoded = [[vocab.index[lemma] for lemma in s.lemmas] for s in corpus]
-    total = sum(map(len, encoded)) * config.epochs
-    expected = init_model(vocab, config)
-    step = train_example_cbow if mode == CBOW else train_example_skipgram
-    expected_stats = TrainStats()
-    seen = 0
-    for _ in range(config.epochs):
-        for ids in encoded:
-            for focus in range(len(ids)):
-                lr = config.lr_start \
-                    - (config.lr_start - config.lr_end) * (seen / total)
-                seen += 1
-                step(expected, expected.tree, focus, ids, lr,
-                     stats=expected_stats)
-    for name in ("examples", "skipped", "predictions", "node_updates"):
-        assert getattr(stats, name) == getattr(expected_stats, name), name
-    np.testing.assert_allclose(model.input_vectors, expected.input_vectors,
-                               rtol=0, atol=1e-12)
 
 
 def test_train_compiles_once_per_cache(tmp_path, monkeypatch, tiny_corpus):

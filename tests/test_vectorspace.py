@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ def test_nearest_full_vocab():
     assert sorted(w for w, _ in hits) == sorted(set(GRID) - {"quark"})
     scores = [s for _, s in hits]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_zero_rows_left_out_of_rankings():
+    with_zero = make_model({"zero": [0.0, 0.0], **GRID})
+    without = make_model(GRID)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 RuntimeWarning
+        hits = nearest_neighbours(with_zero, GRID["rome"], len(GRID) + 1)
+        best = analogy(with_zero, "france", "paris", "italy", k=len(GRID))
+    assert hits == nearest_neighbours(without, GRID["rome"], len(GRID))
+    assert best == analogy(without, "france", "paris", "italy", k=len(GRID))
+    assert best[0][0] == "rome"
 
 
 def test_analogy_planted():
