@@ -38,12 +38,16 @@ _SIGNATURES = {  # name: (argtypes, restype), as declared in _hs.c
 
 
 def library_path() -> Path:
-    """Where the compiled loop for this source, compiler and machine lives."""
+    """Where the compiled loop for this source, compiler and machine lives.
+    The cache directory is looked up on each call, the key once."""
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    key = zlib.crc32(SOURCE.read_bytes())
-    key = zlib.crc32(" ".join(COMPILE).encode(), key)
-    key = zlib.crc32(os.uname().machine.encode(), key)
-    return Path(base) / "metovec" / f"_hs-{key:08x}.so"
+    return Path(base) / "metovec" / f"_hs-{_key():08x}.so"
+
+
+@functools.cache
+def _key() -> int:
+    return zlib.crc32(SOURCE.read_bytes() + " ".join(COMPILE).encode()
+                      + os.uname().machine.encode())
 
 
 def library():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from sys import intern
@@ -18,7 +17,7 @@ _PUNCT_CHARS = set(string.punctuation)
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus or gold files, carries the line number."""
+    """A malformed line of an input file, located by path and line number."""
 
     def __init__(self, path, lineno, message):
         super().__init__(f"{path}:{lineno}: {message}")
@@ -26,21 +25,23 @@ class CorpusFormatError(ValueError):
         self.lineno = lineno
 
 
-@contextmanager
-def open_utf8(path):
-    """``open(path, encoding="utf-8")`` whose decode error names the line,
-    ``path:line: not UTF-8: ...``.  To find it, the file is read again in
-    binary and split at LF, CR and CRLF, as text mode splits it."""
+def numbered_lines(path):
+    """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
+    counting from 1, its end removed.  LF, CR and CRLF each end a line, as
+    in text mode, and no other character does.  A byte that does not decode
+    raises ``path:line: not UTF-8: ...``; to find its line, the file is
+    read again in binary and split at the same three ends."""
     try:
         with open(path, encoding="utf-8") as handle:
-            yield handle
+            for lineno, line in enumerate(handle, 1):
+                yield lineno, line.rstrip("\n")
     except UnicodeDecodeError:
         for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not UTF-8: {exc}") from None
+                raise CorpusFormatError(path, lineno,
+                                        f"not UTF-8: {exc}") from None
         raise
 
 
@@ -74,37 +75,34 @@ def _read_vertical(path):
     doc_id = str(path)
     index = 0
     rows = []
-    with open_utf8(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            # a token line has tabs, so "#doc x<TAB>..." is a token
-            if line.startswith("#doc ") and "\t" not in line:
-                if rows:
-                    yield _sentence(rows, doc_id, index)
-                    rows = []
-                doc_id = line[len("#doc "):].strip()
-                index = 0
-                continue
-            if not line.strip():
-                if rows:
-                    yield _sentence(rows, doc_id, index)
-                    rows = []
-                    index += 1
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    path, lineno,
-                    f"expected 3 tab-separated fields, got {len(fields)}")
-            surface, lemma, pos = fields
-            if not surface:
-                raise CorpusFormatError(path, lineno, "empty surface form")
-            if not lemma:
-                raise CorpusFormatError(path, lineno, "empty lemma")
-            if pos not in COARSE_TAGS:
-                raise CorpusFormatError(path, lineno,
-                                        f"unknown POS tag {pos!r}")
-            rows.append((intern(surface), intern(lemma.lower()), intern(pos)))
+    for lineno, line in numbered_lines(path):
+        # a token line has tabs, so "#doc x<TAB>..." is a token
+        if line.startswith("#doc ") and "\t" not in line:
+            if rows:
+                yield _sentence(rows, doc_id, index)
+                rows = []
+            doc_id = line[len("#doc "):].strip()
+            index = 0
+            continue
+        if not line.strip():
+            if rows:
+                yield _sentence(rows, doc_id, index)
+                rows = []
+                index += 1
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise CorpusFormatError(
+                path, lineno,
+                f"expected 3 tab-separated fields, got {len(fields)}")
+        surface, lemma, pos = fields
+        if not surface:
+            raise CorpusFormatError(path, lineno, "empty surface form")
+        if not lemma:
+            raise CorpusFormatError(path, lineno, "empty lemma")
+        if pos not in COARSE_TAGS:
+            raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
+        rows.append((intern(surface), intern(lemma.lower()), intern(pos)))
     if rows:
         yield _sentence(rows, doc_id, index)
 
@@ -112,17 +110,16 @@ def _read_vertical(path):
 def _read_plain(path):
     doc_id = str(path)
     index = 0
-    with open_utf8(path) as handle:
-        for raw in handle:
-            words = raw.split()
-            if not words:
-                continue
-            yield Sentence(
-                tuple(words), tuple(w.lower() for w in words),
-                tuple("PUNCT" if all(c in _PUNCT_CHARS for c in w)
-                      else "OTHER" for w in words),
-                doc_id, index)
-            index += 1
+    for _, line in numbered_lines(path):
+        words = line.split()
+        if not words:
+            continue
+        yield Sentence(
+            tuple(words), tuple(w.lower() for w in words),
+            tuple("PUNCT" if all(c in _PUNCT_CHARS for c in w)
+                  else "OTHER" for w in words),
+            doc_id, index)
+        index += 1
 
 
 def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import _hs
-from .corpus import Vocabulary, build_vocabulary, open_utf8
+from .corpus import Vocabulary, build_vocabulary, numbered_lines
 from .huffman import HuffmanTree, build_huffman_tree
 
 log = logging.getLogger(__name__)
@@ -350,67 +351,74 @@ def save_model(model: EmbeddingModel, path):
 
 
 def load_model(path) -> EmbeddingModel:
-    """Read a model written by save_model; raises on truncation/mismatch."""
-    with open_utf8(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    try:
-        v, d = map(int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"{path}:1: malformed header {lines[0]!r}, "
-                         "expected 'V D'") from None
-    if v < 1 or d < 1:
-        raise ValueError(f"{path}:1: header {lines[0]!r} needs V >= 1 "
-                         "and D >= 1")
-    expected = 1 + v + 1 + (v - 1) + 1 + v
-    if len(lines) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
-
-    def parse_row(lineno, label):
-        fields = lines[lineno - 1].rsplit(" ", d)
-        if len(fields) != d + 1:
-            raise ValueError(f"{path}:{lineno}: bad {label} row {fields[0]!r}")
+    """Read a model written by save_model in one pass: header, V vector
+    rows, ``#nodes``, V-1 node rows, ``#counts``, V count rows, end of file.
+    Each vector and node row is parsed into its preallocated array row.  A
+    malformed line, a file cut short or a trailing line raises ValueError."""
+    with closing(numbered_lines(path)) as lines:
+        _, header = next(lines, (1, None))
+        if header is None:
+            raise ValueError(f"{path}: empty model file")
         try:
-            return fields[0], list(map(float, fields[1:]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad {label} entry: "
-                             f"{exc}") from None
-
-    words, inputs = [], []
-    for lineno in range(2, 2 + v):
-        word, row = parse_row(lineno, "vector")
-        words.append(word)
-        inputs.append(row)
-    if lines[1 + v] != "#nodes":
-        raise ValueError(f"{path}: missing #nodes sentinel")
-    nodes = [parse_row(lineno, "node")[1]
-             for lineno in range(3 + v, 2 + 2 * v)]
-    if lines[1 + 2 * v] != "#counts":
-        raise ValueError(f"{path}: missing #counts sentinel")
-    counts = []
-    for lineno, (line, vector_word) in enumerate(
-            zip(lines[2 + 2 * v:], words), start=3 + 2 * v):
-        word, _, count_field = line.rpartition(" ")
-        try:
-            count = int(count_field)
+            v, d = map(int, header.split())
         except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: bad count {count_field!r}") from None
-        if word != vector_word:
-            raise ValueError(f"{path}:{lineno}: #counts word {word!r} differs "
-                             f"from vector word {vector_word!r}")
-        if count < 1:
-            raise ValueError(f"{path}:{lineno}: count {count} is below 1")
-        counts.append(count)
-    inputs = np.array(inputs)
-    nodes = np.array(nodes, dtype=float).reshape(v - 1, d)
-    for label, array, first_lineno in (("vector", inputs, 2),
-                                       ("node", nodes, 3 + v)):
-        bad_rows = np.flatnonzero(~np.isfinite(array).all(axis=1))
-        if bad_rows.size:
-            raise ValueError(f"{path}:{first_lineno + bad_rows[0]}: "
-                             f"non-finite {label} entry")
+            raise ValueError(f"{path}:1: malformed header {header!r}, "
+                             "expected 'V D'") from None
+        if v < 1 or d < 1:
+            raise ValueError(f"{path}:1: header {header!r} needs V >= 1 "
+                             "and D >= 1")
+
+        def take(what):
+            for numbered_line in lines:
+                return numbered_line
+            raise ValueError(f"{path}: file ends before {what}")
+
+        def read_rows(array, label, sentinel):
+            """Fill ``array``, then read ``sentinel``; returns the words."""
+            words = []
+            for i, row in enumerate(array, 1):
+                lineno, line = take(f"{label} row {i} of {len(array)}")
+                fields = line.rsplit(" ", d)
+                if len(fields) != d + 1:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad {label} row {fields[0]!r}")
+                try:
+                    row[:] = list(map(float, fields[1:]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {label} entry: "
+                                     f"{exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(
+                        f"{path}:{lineno}: non-finite {label} entry")
+                words.append(fields[0])
+            lineno, line = take(f"the {sentinel} sentinel")
+            if line != sentinel:
+                raise ValueError(f"{path}:{lineno}: missing {sentinel} "
+                                 "sentinel")
+            return words
+
+        inputs, nodes = np.empty((v, d)), np.empty((v - 1, d))
+        words = read_rows(inputs, "vector", "#nodes")
+        read_rows(nodes, "node", "#counts")
+        counts = []
+        for i, vector_word in enumerate(words, 1):
+            lineno, line = take(f"count row {i} of {v}")
+            word, _, count_field = line.rpartition(" ")
+            try:
+                count = int(count_field)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad count {count_field!r}") from None
+            if word != vector_word:
+                raise ValueError(f"{path}:{lineno}: #counts word {word!r} "
+                                 f"differs from vector word {vector_word!r}")
+            if count < 1:
+                raise ValueError(f"{path}:{lineno}: count {count} is below 1")
+            counts.append(count)
+        extra = next(lines, None)
+        if extra is not None:
+            raise ValueError(f"{path}:{extra[0]}: line after the last "
+                             "count row")
 
     vocab = Vocabulary(words=tuple(words), counts=tuple(counts),
                        total_tokens=sum(counts), max_size=v)

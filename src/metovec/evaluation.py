@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import open_utf8
+from .corpus import numbered_lines
 from .ranking import DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE
 
 FIXTURE_RESOURCE = "reference_rankings.tsv"
@@ -169,56 +169,48 @@ def load_fixture(path=None) -> Fixture:
     is "+" or "-".
     """
     if path is None:
-        text = (resources.files("metovec.data") / FIXTURE_RESOURCE) \
-            .read_text(encoding="utf-8")
-        name = FIXTURE_RESOURCE
-    else:
-        with open_utf8(path) as handle:
-            text = handle.read()
-        name = str(path)
+        path = resources.files("metovec.data") / FIXTURE_RESOURCE
     targets = []
     rows = []
     current = None
-    # "\n" only, as load_corpus and write_table: splitlines() would also
-    # break at U+2028, U+0085 and other characters a phrase may hold
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in numbered_lines(path):
         if not line.strip() or line.startswith("# "):
             continue
         fields = line.split("\t")
         if fields[0] == "#target":
             if len(fields) != 5:
-                raise ValueError(f"{name}:{lineno}: bad target header")
+                raise ValueError(f"{path}:{lineno}: bad target header")
             try:
                 index = int(fields[2])
             except ValueError:
-                raise ValueError(f"{name}:{lineno}: bad sentence index "
+                raise ValueError(f"{path}:{lineno}: bad sentence index "
                                  f"{fields[2]!r}") from None
             current = FixtureTarget(fields[1], index, fields[3], fields[4])
             targets.append(current)
             continue
         if current is None:
-            raise ValueError(f"{name}:{lineno}: row before any #target header")
+            raise ValueError(f"{path}:{lineno}: row before any #target header")
         if len(fields) != 4:
             raise ValueError(
-                f"{name}:{lineno}: expected 4 fields, got {len(fields)}")
+                f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
         candidate, score_str, label, gold_str = fields
         if gold_str not in ("+", "-"):
-            raise ValueError(f"{name}:{lineno}: bad gold label {gold_str!r}")
+            raise ValueError(f"{path}:{lineno}: bad gold label {gold_str!r}")
         if label not in _LABELS:
-            raise ValueError(f"{name}:{lineno}: unknown label {label!r}")
+            raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
         if score_str == "NIV":
             score = None
         else:
             try:
                 score = float(score_str)
             except ValueError:
-                raise ValueError(f"{name}:{lineno}: bad confidence "
+                raise ValueError(f"{path}:{lineno}: bad confidence "
                                  f"{score_str!r}") from None
             if not math.isfinite(score):
-                raise ValueError(f"{name}:{lineno}: non-finite confidence "
+                raise ValueError(f"{path}:{lineno}: non-finite confidence "
                                  f"{score_str!r}")
         if (score is None) != (label == NOT_IN_VOCAB):
-            raise ValueError(f"{name}:{lineno}: confidence/label mismatch")
+            raise ValueError(f"{path}:{lineno}: confidence/label mismatch")
         rows.append(FixtureRow(current, candidate, score, label,
                                gold_str == "+"))
     return Fixture(tuple(targets), tuple(rows))

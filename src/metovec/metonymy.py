@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import CorpusFormatError, Sentence, open_utf8
+from .corpus import CorpusFormatError, Sentence, numbered_lines
 
 # tokens allowed between the verb and the first noun of its object NP
 GAP_TAGS = frozenset({"DET", "ADJ", "ADV", "NUM"})
@@ -175,32 +175,30 @@ def load_gold_targets(path, corpus) -> list[VerbObject]:
     """
     by_ref = _as_index(corpus).by_ref
     targets = []
-    with open_utf8(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise CorpusFormatError(
-                    path, lineno,
-                    f"expected 4 tab-separated fields, got {len(fields)}")
-            doc_id, index_str, verb, np_head = fields
-            try:
-                index = int(index_str)
-            except ValueError:
-                raise CorpusFormatError(
-                    path, lineno, f"bad sentence index {index_str!r}") from None
-            pairs = by_ref.get((doc_id, index))
-            if pairs is None:
-                raise CorpusFormatError(
-                    path, lineno, f"no sentence ({doc_id!r}, {index})")
-            target = next((pair for pair in pairs
-                           if pair.verb_lemma == verb
-                           and pair.np_head_lemma == np_head), None)
-            if target is None:
-                raise CorpusFormatError(
-                    path, lineno,
-                    f"no ({verb!r}, {np_head!r}) pair in ({doc_id!r}, {index})")
-            targets.append(target)
+    for lineno, line in numbered_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise CorpusFormatError(
+                path, lineno,
+                f"expected 4 tab-separated fields, got {len(fields)}")
+        doc_id, index_str, verb, np_head = fields
+        try:
+            index = int(index_str)
+        except ValueError:
+            raise CorpusFormatError(
+                path, lineno, f"bad sentence index {index_str!r}") from None
+        pairs = by_ref.get((doc_id, index))
+        if pairs is None:
+            raise CorpusFormatError(
+                path, lineno, f"no sentence ({doc_id!r}, {index})")
+        target = next((pair for pair in pairs
+                       if pair.verb_lemma == verb
+                       and pair.np_head_lemma == np_head), None)
+        if target is None:
+            raise CorpusFormatError(
+                path, lineno,
+                f"no ({verb!r}, {np_head!r}) pair in ({doc_id!r}, {index})")
+        targets.append(target)
     return targets

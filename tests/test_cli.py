@@ -379,7 +379,7 @@ def test_cmd_eval_perfect_toy_fixture(tmp_path, capsys):
 @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x0c"])
 def test_cmd_eval_fixture_phrase_with_line_separator(tmp_path, capsys,
                                                       separator):
-    # only "\n" ends a line, as in load_corpus and write_table
+    # LF, CR and CRLF end a line, as in every reader; no other character
     fixture = tmp_path / "toy.tsv"
     rows = ("#target\td\t0\tbegin\tbook\n"
             f"Read the{separator}book.\t0.9\tViable\t+\n"

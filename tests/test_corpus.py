@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
                             build_vocabulary, load_corpus, next_word_counts)
+from metovec.embeddings import load_model
+from metovec.evaluation import load_fixture
+from metovec.metonymy import load_gold_targets
 
 from conftest import write_vertical
 
@@ -253,3 +256,50 @@ def test_vertical_round_trip(leading_blanks, unmarked, documents):
                         encoding="utf-8")
         corpus = load_corpus(path, "vertical")
     assert [(s.ref, s.tokens, s.lemmas, s.tags) for s in corpus] == expected
+
+
+def _model_fields(path):
+    model = load_model(path)
+    return (model.vocab.words, model.vocab.counts,
+            model.input_vectors.tolist(), model.node_vectors.tolist())
+
+
+BEGIN_THE_BOOK = Sentence(("They", "begin", "the", "book"),
+                          ("they", "begin", "the", "book"),
+                          ("PRON", "VERB", "DET", "NOUN"), "d", 0)
+# one LF file per reader, with a blank line where the reader skips them,
+# and what the reader makes of it
+LF_INPUTS = {
+    "vertical": ("#doc d\nThey\tthey\tPRON\nread\tread\tVERB\n\n"
+                 "A\ta\tDET\nbook\tbook\tNOUN\n", load_corpus),
+    "plain": ("the goose\n\nthe gander\n",
+              lambda path: load_corpus(path, "plain")),
+    "gold-targets": ("# doc index verb head\n\nd\t0\tbegin\tbook\n",
+                     lambda path: load_gold_targets(path, [BEGIN_THE_BOOK])),
+    "fixture": ("#target\td\t0\tbegin\tbook\n\n"
+                "Read the book.\t0.9\tViable\t+\n"
+                "Burn the book.\tNIV\tNotInVocabulary\t-\n", load_fixture),
+    "model": ("2 1\na 0.5\nb -1.5\n#nodes\nn0 0.25\n#counts\na 2\nb 1\n",
+              _model_fields),
+}
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+@pytest.mark.parametrize("kind", LF_INPUTS)
+def test_every_reader_ends_lines_alike(tmp_path, kind, end):
+    """LF, CRLF and a lone CR each end a line, in every input reader."""
+    text, read = LF_INPUTS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode())
+    expected = read(path)
+    path.write_bytes(text.replace("\n", end).encode())
+    assert read(path) == expected
+
+
+def test_lone_cr_ends_a_fixture_row(tmp_path):
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(b"#target\td\t0\tbegin\tbook\n"
+                     b"Read the\rbook.\t0.9\tViable\t+\n")
+    with pytest.raises(ValueError) as err:
+        load_fixture(path)
+    assert str(err.value) == f"{path}:2: expected 4 fields, got 1"

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -528,16 +529,20 @@ def test_load_malformed_header(tmp_path):
         assert load_error(tmp_path, 1, header) == f"1: {message}"
 
 
-def load_error(tmp_path, lineno, row):
+def load_error(tmp_path, lineno, row=None):
     """The error of load_model on a saved 3-word, D=2 model whose line
-    ``lineno`` is replaced by ``row``.  Lines 2-4 are vectors, 6-7 nodes
-    and 9-11 counts."""
+    ``lineno`` is replaced by ``row`` (appended when one past the end), or
+    which ends after line ``lineno`` when ``row`` is None.  Lines 2-4 are
+    vectors, 5 #nodes, 6-7 nodes, 8 #counts and 9-11 counts."""
     model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]},
                        {"a": 3, "b": 2, "c": 1})
     path = tmp_path / "model.txt"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    lines[lineno - 1] = row
+    if row is None:
+        del lines[lineno:]
+    else:
+        lines[lineno - 1:lineno] = [row]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         load_model(path)
@@ -565,10 +570,43 @@ def test_load_rejects_non_finite(tmp_path, lineno, row, label):
                     "'zz'"),
     (6, "n0 zz 1.0", "bad node entry: could not convert string to float: "
                      "'zz'"),
-    (4, "c 5.0", "bad vector row 'c'")],
-    ids=["vector-field", "node-field", "short-row"])
+    (4, "c 5.0", "bad vector row 'c'"),
+    (5, "#node", "missing #nodes sentinel"),
+    (8, "#count", "missing #counts sentinel"),
+    (12, "d 1", "line after the last count row"),
+    (12, "", "line after the last count row")],
+    ids=["vector-field", "node-field", "short-row", "nodes-sentinel",
+         "counts-sentinel", "trailing-row", "trailing-blank"])
 def test_load_rejects_bad_field(tmp_path, lineno, row, message):
     assert load_error(tmp_path, lineno, row) == f"{lineno}: {message}"
+
+
+@pytest.mark.parametrize("last_line, missing", [
+    (1, "vector row 1 of 3"), (3, "vector row 3 of 3"),
+    (4, "the #nodes sentinel"), (6, "node row 2 of 2"),
+    (7, "the #counts sentinel"), (10, "count row 3 of 3")])
+def test_load_names_what_a_cut_file_misses(tmp_path, last_line, missing):
+    assert load_error(tmp_path, last_line) == f" file ends before {missing}"
+
+
+def test_load_model_peak_memory_near_its_arrays(tmp_path):
+    """One pass parses each row into its array: no list of lines and no
+    Python floats beyond one row are held."""
+    rng = np.random.default_rng(0)
+    model = make_model({f"w{i}": row for i, row in
+                        enumerate(rng.normal(size=(2000, 50)))})
+    model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.node_vectors, model.node_vectors)
+    assert peak < 2 * (loaded.input_vectors.nbytes
+                       + loaded.node_vectors.nbytes)
 
 
 def test_tree_derived_on_first_use(tmp_path, monkeypatch):
