@@ -14,7 +14,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import evaluation, metonymy, ranking
 from .embeddings import (CBOW, SKIPGRAM, TrainingConfig, TrainStats,
-                         load_model, save_model, train)
+                         is_json_type, load_model, save_model, train)
 from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
@@ -74,22 +74,16 @@ def _read_config_file(path) -> dict:
         expected = KEY_TYPES.get(key)
         if expected is None:
             continue  # unknown keys are reported by load_config
-        if not _is_a(value, expected):
+        if not is_json_type(value, expected):
             name = getattr(expected, "__name__", expected)
             raise ValueError(f"{path}: config key {key!r} must be {name}, "
                              f"not {value!r}")
     for n, entry in enumerate(values.get("verbs", ())):
         if not (isinstance(entry, list) and len(entry) == 3
-                and all(map(_is_a, entry, (str, float, str)))):
+                and all(map(is_json_type, entry, (str, float, str)))):
             raise ValueError(f"{path}: config key 'verbs' entry {n} must be "
                              f"[lemma, eventhood, category], not {entry!r}")
     return values
-
-
-def _is_a(value, expected) -> bool:
-    # a JSON integer is a valid float; a boolean is never a number
-    accepted = int | float if expected is float else expected
-    return not isinstance(value, bool) and isinstance(value, accepted)
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:

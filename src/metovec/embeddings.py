@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import time
+import zipfile
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +27,11 @@ SIGMOID_CLAMP = 6.0
 
 
 class NotInVocabularyError(KeyError):
-    pass
+    """A lemma the model has no vector for; the one argument is the lemma."""
+
+    def __str__(self):
+        # KeyError's own str is the bare repr of the lemma
+        return f"{self.args[0]!r} is not in the model vocabulary"
 
 
 def sigmoid(x):
@@ -55,6 +61,19 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 1")
         if not (self.lr_start >= self.lr_end > 0):
             raise ValueError("need lr_start >= lr_end > 0")
+
+
+# a binary model file is a zip archive, which starts with this signature
+_ZIP_MAGIC = b"PK\x03\x04"
+# the members of a binary model archive, one .npy file each
+_MEMBER_DTYPES = {name: np.dtype(kind) for name, kind in (
+    ("inputs", "float64"), ("nodes", "float64"), ("counts", "int64"),
+    ("words", "uint8"), ("config", "uint8"))}
+# the archive's config JSON: the TrainingConfig fields plus the Vocabulary
+# fields that no array holds, each with the type of its value
+_VOCABULARY_KEYS = ("total_tokens", "max_size")
+_CONFIG_TYPES = ({f.name: type(f.default) for f in fields(TrainingConfig)}
+                 | dict.fromkeys(_VOCABULARY_KEYS, int))
 
 
 @dataclass(frozen=True)
@@ -325,7 +344,46 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     return model
 
 
-def save_model(model: EmbeddingModel, path):
+def save_model(model: EmbeddingModel, path, text: bool = False):
+    """Write ``model`` to ``path`` as a binary archive, or with
+    ``text=True`` in the text format of ``_save_text_model``.
+
+    The archive is the uncompressed ``.npz`` of ``np.savez``, at ``path``
+    as given.  Its members are ``inputs`` (V x D float64), ``nodes``
+    ((V-1) x D float64), ``counts`` (V int64), ``words`` (the words joined
+    by line breaks, as UTF-8 ``uint8``) and ``config`` (the
+    ``TrainingConfig`` fields plus the vocabulary's ``total_tokens`` and
+    ``max_size``, as UTF-8 JSON ``uint8``).  Each member carries the
+    earliest zip date, not the time of writing, so one model saved twice
+    gives the same bytes.  A word holding a line break cannot be stored
+    and raises ValueError; no reader yields one.
+    """
+    if text:
+        _save_text_model(model, path)
+        return
+    for word in model.vocab.words:
+        if "\n" in word:
+            raise ValueError(f"cannot save word {word!r}: it holds a line "
+                             "break")
+    config = asdict(model.config) | {key: getattr(model.vocab, key)
+                                     for key in _VOCABULARY_KEYS}
+    members = {
+        "inputs": np.asarray(model.input_vectors, dtype=np.float64),
+        "nodes": np.asarray(model.node_vectors, dtype=np.float64),
+        "counts": np.array(model.vocab.counts, dtype=np.int64),
+        "words": _utf8("\n".join(model.vocab.words)),
+        "config": _utf8(json.dumps(config)),
+    }
+    # through a handle: given a path, np.savez would append ".npz"
+    with open(path, "wb") as out:
+        np.savez(out, **members)
+
+
+def _utf8(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _save_text_model(model: EmbeddingModel, path):
     """Write the text model format.
 
     Line 1 is ``V D``, then V ``word v1 .. vD`` rows, a ``#nodes`` sentinel
@@ -351,8 +409,110 @@ def save_model(model: EmbeddingModel, path):
 
 
 def load_model(path) -> EmbeddingModel:
-    """Read a model written by save_model in one pass: header, V vector
-    rows, ``#nodes``, V-1 node rows, ``#counts``, V count rows, end of file.
+    """Read a model written by ``save_model``.  A file that starts as a zip
+    archive does (``PK\\x03\\x04``) is read as the binary archive, any
+    other as the text format, so text and hand-written models still load.
+    A malformed file of either form raises a ValueError naming ``path``."""
+    with open(path, "rb") as handle:
+        if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            handle.seek(0)
+            return _load_archive(handle, path)
+    return _load_text_model(path)
+
+
+def _load_archive(handle, path) -> EmbeddingModel:
+    """The model in the binary archive open at ``handle``.  Member names,
+    dtypes and shapes are checked before any value is used."""
+    try:
+        with np.load(handle, allow_pickle=False) as archive:
+            names = sorted(archive.zip.namelist())
+            expected = sorted(name + ".npy" for name in _MEMBER_DTYPES)
+            if names != expected:
+                raise ValueError(f"members {names}, expected {expected}")
+            arrays = {name: archive[name] for name in _MEMBER_DTYPES}
+    # a cut or corrupt zip raises BadZipFile, a member whose data ends
+    # early EOFError, a corrupt offset OSError, and a member flagged as
+    # encrypted or compressed by an unknown method RuntimeError
+    except (zipfile.BadZipFile, EOFError, OSError, RuntimeError,
+            ValueError) as exc:
+        raise ValueError(f"{path}: bad model archive: {exc}") from None
+    for name, dtype in _MEMBER_DTYPES.items():
+        if arrays[name].dtype != dtype:
+            raise ValueError(f"{path}: member {name} has dtype "
+                             f"{arrays[name].dtype}, expected {dtype}")
+    inputs, nodes, counts = arrays["inputs"], arrays["nodes"], arrays["counts"]
+    if inputs.ndim != 2 or min(inputs.shape) < 1:
+        raise ValueError(f"{path}: vectors of shape {inputs.shape} need "
+                         "V >= 1 and D >= 1")
+    v, d = inputs.shape
+    # words and config are 1-D of any length
+    for name, shape in (("nodes", (v - 1, d)), ("counts", (v,)),
+                        ("words", (arrays["words"].size,)),
+                        ("config", (arrays["config"].size,))):
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: member {name} has shape "
+                             f"{arrays[name].shape}, expected {shape}")
+    for label, array in (("vector", inputs), ("node", nodes)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: non-finite {label} entry")
+    if counts.min() < 1:
+        raise ValueError(f"{path}: count {counts.min()} is below 1")
+    try:
+        words = arrays["words"].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: words are not UTF-8: {exc}") from None
+    if len(words) != v:
+        raise ValueError(f"{path}: {len(words)} words for {v} counts")
+    config, vocab_fields = _config_from_json(arrays["config"], path)
+    if config.dim != d:
+        raise ValueError(f"{path}: config dim {config.dim} differs from "
+                         f"vector width {d}")
+    vocab = Vocabulary(words=tuple(words), counts=tuple(counts.tolist()),
+                       **vocab_fields)
+    return EmbeddingModel(inputs, nodes, vocab, config)
+
+
+def is_json_type(value, expected) -> bool:
+    """Whether a value read from JSON is an ``expected``: a JSON integer is
+    a valid float; a boolean is never a number."""
+    accepted = int | float if expected is float else expected
+    return not isinstance(value, bool) and isinstance(value, accepted)
+
+
+def _config_from_json(raw: np.ndarray, path):
+    """``(TrainingConfig, {"total_tokens": .., "max_size": ..})`` from the
+    archive's config member; every key must be present, known and of its
+    type (a JSON integer serves as a float)."""
+    try:
+        values = json.loads(raw.tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config must be a JSON object, "
+                         f"not {type(values).__name__}")
+    unknown = sorted(values.keys() - _CONFIG_TYPES.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown config key "
+                         + ", ".join(map(repr, unknown)))
+    missing = sorted(_CONFIG_TYPES.keys() - values.keys())
+    if missing:
+        raise ValueError(f"{path}: missing config key "
+                         + ", ".join(map(repr, missing)))
+    for key, value in values.items():
+        expected = _CONFIG_TYPES[key]
+        if not is_json_type(value, expected):
+            raise ValueError(f"{path}: config key {key!r} must be "
+                             f"{expected.__name__}, not {value!r}")
+    vocab_fields = {key: values.pop(key) for key in _VOCABULARY_KEYS}
+    try:
+        return TrainingConfig(**values), vocab_fields
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
+
+
+def _load_text_model(path) -> EmbeddingModel:
+    """Read a text model in one pass: header, V vector rows, ``#nodes``,
+    V-1 node rows, ``#counts``, V count rows, end of file.
     Each vector and node row is parsed into its preallocated array row.  A
     malformed line, a file cut short or a trailing line raises ValueError."""
     with closing(numbered_lines(path)) as lines:

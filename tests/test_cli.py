@@ -200,6 +200,15 @@ def test_cmd_query_oov(trained_model):
               "chapter", "zygote"])
 
 
+@pytest.mark.parametrize("subcommand, words", [
+    ("neighbors", ["zebra"]), ("similarity", ["chapter", "zebra"]),
+    ("analogy", ["chapter", "read", "zebra"])])
+def test_cmd_query_oov_message(trained_model, subcommand, words):
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", subcommand, "--model", str(trained_model), *words])
+    assert str(exit_.value) == "error: 'zebra' is not in the model vocabulary"
+
+
 @pytest.mark.parametrize("subcommand, words, message", [
     ("similarity", ["chapter", "read", "the"],
      "query similarity takes 2 words, got 3"),
@@ -410,12 +419,14 @@ def test_non_utf8_input_is_located(tmp_path, chapter_corpus, trained_model,
     bad = tmp_path / "bad.txt"
     corpus, model = str(chapter_corpus), str(trained_model)
     vocab = str(tmp_path / "vocab.tsv")
+    text_model = tmp_path / "text.model"  # the binary form has no lines
+    save_model(load_model(trained_model), text_model, text=True)
     source, argv = {
         "vertical": (chapter_corpus,
                      ["vocab", "--corpus", str(bad), "--output", vocab]),
         "plain": (None, ["vocab", "--corpus", str(bad), "--format", "plain",
                          "--output", vocab]),
-        "model": (trained_model,
+        "model": (text_model,
                   ["query", "neighbors", "--model", str(bad), "chapter"]),
         "fixture": (None, ["eval", "--fixture", str(bad)]),
         "gold-targets": (None, ["paraphrase", "--corpus", corpus, "--model",

@@ -1,7 +1,13 @@
+import functools
+import io
+import json
 import math
+import re
 import subprocess
 import tempfile
+import time
 import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from metovec import _hs, embeddings
 from metovec.cli import main
-from metovec.corpus import build_vocabulary, load_corpus
-from metovec.embeddings import (CBOW, SKIPGRAM, NotInVocabularyError,
-                                TrainingConfig, TrainStats,
+from metovec.corpus import Vocabulary, build_vocabulary, load_corpus
+from metovec.embeddings import (CBOW, SKIPGRAM, EmbeddingModel,
+                                NotInVocabularyError, TrainingConfig,
+                                TrainStats,
                                 example_gradients_cbow,
                                 example_gradients_skipgram,
                                 example_loss_cbow, example_loss_skipgram,
@@ -54,6 +61,13 @@ def test_config_validation():
 def test_sigmoid_clamp_preserves_symmetry():
     for x in (-50.0, -6.0, -1.5, 0.0, 2.0, 100.0):
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sigmoid_clamp_matches_compiled_step():
+    """_hs.c states the clamp again, as CLAMP; the two must agree."""
+    define = re.search(r"^#define CLAMP (\S+)$", _hs.SOURCE.read_text(),
+                       re.MULTILINE)
+    assert float(define.group(1)) == embeddings.SIGMOID_CLAMP
 
 
 def test_leaf_probability_zero_nodes():
@@ -444,14 +458,14 @@ def test_train_rejects_tiny_vocab(tmp_path):
 def test_save_load_round_trip(tiny_corpus, tmp_path):
     model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1, seed=2))
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(model, path, text=True)
     loaded = load_model(path)
     assert np.array_equal(model.input_vectors, loaded.input_vectors)
     assert np.array_equal(model.node_vectors, loaded.node_vectors)
     assert model.vocab.words == loaded.vocab.words
     assert model.tree.codes == loaded.tree.codes
     path2 = tmp_path / "model2.txt"
-    save_model(loaded, path2)
+    save_model(loaded, path2, text=True)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -474,7 +488,7 @@ def test_save_load_round_trip_any_lemmas(words, dim, seed):
     model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
-        save_model(model, path)
+        save_model(model, path, text=True)
         loaded = load_model(path)
     assert loaded.vocab.words == model.vocab.words
     assert loaded.vocab.counts == model.vocab.counts
@@ -486,19 +500,19 @@ def test_save_load_multiword_lemmas(tmp_path):
     words = ["ice cream", " lead", "trail ", "a  b", "x"]
     model = make_model({w: [float(i), -0.5] for i, w in enumerate(words)})
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(model, path, text=True)
     loaded = load_model(path)
     assert loaded.vocab.words == tuple(words)
     assert np.array_equal(loaded.input_vectors, model.input_vectors)
     path2 = tmp_path / "model2.txt"
-    save_model(loaded, path2)
+    save_model(loaded, path2, text=True)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_model_header(tiny_corpus, tmp_path):
     model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1))
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(model, path, text=True)
     header = path.read_text().splitlines()[0]
     assert header == f"{len(model.vocab)} 5"
 
@@ -506,7 +520,7 @@ def test_model_header(tiny_corpus, tmp_path):
 def test_load_truncated_model(tiny_corpus, tmp_path):
     model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1))
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(model, path, text=True)
     lines = path.read_text().splitlines()
     (tmp_path / "cut.txt").write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError):
@@ -537,7 +551,7 @@ def load_error(tmp_path, lineno, row=None):
     model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]},
                        {"a": 3, "b": 2, "c": 1})
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(model, path, text=True)
     lines = path.read_text().splitlines()
     if row is None:
         del lines[lineno:]
@@ -590,23 +604,246 @@ def test_load_names_what_a_cut_file_misses(tmp_path, last_line, missing):
 
 
 def test_load_model_peak_memory_near_its_arrays(tmp_path):
-    """One pass parses each row into its array: no list of lines and no
-    Python floats beyond one row are held."""
+    """Text: one pass parses each row into its array, so no list of lines
+    and no Python floats beyond one row are held.  Binary: each member is
+    read into its array, with no copy of the archive's bytes."""
     rng = np.random.default_rng(0)
     model = make_model({f"w{i}": row for i, row in
                         enumerate(rng.normal(size=(2000, 50)))})
     model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    tracemalloc.start()
-    try:
+    for text in (True, False):
+        path = tmp_path / f"model-{text}"
+        save_model(model, path, text=text)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.node_vectors, model.node_vectors)
+        assert peak < 2 * (loaded.input_vectors.nbytes
+                           + loaded.node_vectors.nbytes), text
+
+
+training_configs = st.builds(
+    TrainingConfig, mode=st.sampled_from([CBOW, SKIPGRAM]),
+    window=st.integers(1, 10), epochs=st.integers(1, 10),
+    lr_start=st.floats(0.5, 1.0), lr_end=st.floats(1e-6, 0.5),
+    seed=st.integers(0, 2**32 - 1), min_count=st.integers(1, 5),
+    max_vocab=st.integers(1, 10**6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(vertical_lemmas, min_size=1, max_size=8, unique=True),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1), training_configs,
+       st.integers(0, 10**12), st.integers(1, 10**6))
+def test_binary_round_trip_any_lemmas(words, dim, seed, config,
+                                      total_tokens, max_size):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(tuple(words),
+                       tuple(int(c) for c in rng.integers(1, 10**6,
+                                                          len(words))),
+                       total_tokens, max_size)
+    model = EmbeddingModel(rng.uniform(-1e3, 1e3, size=(len(words), dim)),
+                           rng.normal(size=(len(words) - 1, dim)), vocab,
+                           replace(config, dim=dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_model(model, path)
         loaded = load_model(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert loaded.config == model.config
+    assert loaded.vocab == model.vocab
+    assert np.array_equal(loaded.input_vectors, model.input_vectors)
     assert np.array_equal(loaded.node_vectors, model.node_vectors)
-    assert peak < 2 * (loaded.input_vectors.nbytes
-                       + loaded.node_vectors.nbytes)
+
+
+def saved_bytes(model) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+SMALL_MODEL = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]},
+                         {"a": 3, "b": 2, "c": 1})
+
+
+@functools.cache
+def small_archive() -> bytes:
+    return saved_bytes(SMALL_MODEL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cut_binary_model_is_located(data):
+    archive = small_archive()
+    cut = data.draw(st.integers(0, len(archive) - 1), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        path.write_bytes(archive[:cut])
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+    assert str(err.value).startswith(f"{path}:")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flipped_bit_in_binary_model_is_located(data):
+    """Any one flipped bit gives the same model (the zip does not check
+    every field it reads) or a ValueError naming the file, never another
+    exception."""
+    archive = bytearray(small_archive())
+    offset = data.draw(st.integers(0, len(archive) - 1), label="offset")
+    archive[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        path.write_bytes(archive)
+        try:
+            loaded = load_model(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+    assert loaded.vocab == SMALL_MODEL.vocab
+    assert np.array_equal(loaded.input_vectors, SMALL_MODEL.input_vectors)
+
+
+@pytest.mark.parametrize("offset, bit", [(6, 7), (8, 0), (10, 0), (-3, 7)],
+                         ids=["zip-version", "encrypted", "compression",
+                              "directory-offset"])
+def test_unsupported_zip_field_is_located(tmp_path, offset, bit):
+    """Flips that zipfile reports as NotImplementedError, RuntimeError or
+    OSError: in the first central directory entry its version needed, its
+    encryption flag and its compression method, and the directory's offset
+    in the end record (counted from the end of the file)."""
+    archive = bytearray(small_archive())
+    if offset >= 0:
+        offset += archive.find(b"PK\x01\x02")
+    archive[offset] ^= 1 << bit
+    path = tmp_path / "model"
+    path.write_bytes(archive)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: bad model archive: ")
+
+
+def test_binary_save_is_byte_identical_later(monkeypatch):
+    """No time of writing reaches the archive: the zip would otherwise
+    stamp each member with it, at a resolution of 2 seconds."""
+    first = saved_bytes(SMALL_MODEL)
+    clock = time.time
+    monkeypatch.setattr(time, "time", lambda: clock() + 5.0)
+    assert saved_bytes(SMALL_MODEL) == first
+
+
+def test_save_rejects_line_break_in_word(tmp_path):
+    model = make_model({"a": [1.0], "b\nc": [2.0]})
+    with pytest.raises(ValueError, match=r"cannot save word 'b\\nc'"):
+        save_model(model, tmp_path / "model")
+    save_model(model, tmp_path / "model", text=True)  # the text form splits
+
+
+def archive_error(tmp_path, **changes):
+    """The error of load_model on SMALL_MODEL's archive with each member
+    named in ``changes`` replaced by its value, or dropped when None."""
+    with np.load(io.BytesIO(small_archive()), allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    for name, value in changes.items():
+        if value is None:
+            del members[name]
+        else:
+            members[name] = value
+    path = tmp_path / "model.npz"
+    with open(path, "wb") as out:
+        np.savez(out, **members)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    return str(err.value).removeprefix(f"{path}: ")
+
+
+def utf8(text):
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def config_json(drop=(), **changes):
+    """SMALL_MODEL's config member with ``changes`` and without ``drop``."""
+    values = {**asdict(SMALL_MODEL.config), "total_tokens": 6,
+              "max_size": 3, **changes}
+    return utf8(json.dumps({k: v for k, v in values.items()
+                            if k not in drop}))
+
+
+MEMBERS = ("['config.npy', 'counts.npy', 'inputs.npy', 'nodes.npy', "
+           "'words.npy']")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"config": None}, "bad model archive: members ['counts.npy', "
+     "'inputs.npy', 'nodes.npy', 'words.npy'], expected " + MEMBERS),
+    ({"extra": np.zeros(1)}, "bad model archive: members ['config.npy', "
+     "'counts.npy', 'extra.npy', 'inputs.npy', 'nodes.npy', 'words.npy'], "
+     "expected " + MEMBERS),
+    ({"words": np.array(["a", "b", "c"], dtype=object)},
+     "bad model archive: Object arrays cannot be loaded when "
+     "allow_pickle=False"),
+    ({"inputs": np.ones((3, 2), dtype=np.float32)},
+     "member inputs has dtype float32, expected float64"),
+    ({"counts": np.array([3.0, 2.0, 1.0])},
+     "member counts has dtype float64, expected int64"),
+    ({"words": np.array(["a", "b", "c"])},
+     "member words has dtype <U1, expected uint8"),
+    ({"inputs": np.ones(3)}, "vectors of shape (3,) need V >= 1 and D >= 1"),
+    ({"inputs": np.ones((0, 2))},
+     "vectors of shape (0, 2) need V >= 1 and D >= 1"),
+    ({"nodes": np.ones((3, 2))},
+     "member nodes has shape (3, 2), expected (2, 2)"),
+    ({"counts": np.array([3, 2])},
+     "member counts has shape (2,), expected (3,)"),
+    ({"words": np.ones((1, 3), dtype=np.uint8)},
+     "member words has shape (1, 3), expected (3,)"),
+    ({"inputs": np.array([[1.0, 2.0], [3.0, np.nan], [5.0, 6.0]])},
+     "non-finite vector entry"),
+    ({"nodes": np.array([[0.0, 0.0], [-np.inf, 0.0]])},
+     "non-finite node entry"),
+    ({"counts": np.array([3, 0, 1])}, "count 0 is below 1"),
+    ({"words": utf8("a\nb")}, "2 words for 3 counts"),
+    ({"words": utf8("a\nb\nc\nd")}, "4 words for 3 counts"),
+    ({"words": np.frombuffer(b"a\nb\n\xe9", dtype=np.uint8)},
+     "words are not UTF-8: 'utf-8' codec can't decode byte 0xe9 in "
+     "position 4: unexpected end of data"),
+    ({"config": utf8("{")}, "bad config: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+    ({"config": utf8("[]")}, "config must be a JSON object, not list"),
+    ({"config": config_json(dimm=2)}, "unknown config key 'dimm'"),
+    ({"config": config_json(drop=["max_size", "seed"])},
+     "missing config key 'max_size', 'seed'"),
+    ({"config": config_json(dim="2")}, "config key 'dim' must be int, "
+     "not '2'"),
+    ({"config": config_json(seed=True)}, "config key 'seed' must be int, "
+     "not True"),
+    ({"config": config_json(lr_end=None)}, "config key 'lr_end' must be "
+     "float, not None"),
+    ({"config": config_json(mode="glove")},
+     "bad config: unknown training mode 'glove'"),
+    ({"config": config_json(dim=3)}, "config dim 3 differs from vector "
+     "width 2")],
+    ids=["missing-member", "extra-member", "object-array", "inputs-dtype",
+         "counts-dtype", "unicode-words", "inputs-1d", "no-words",
+         "nodes-shape", "counts-shape", "words-2d", "nan-vector",
+         "inf-node", "count-0", "fewer-words", "more-words", "words-utf8",
+         "config-json", "config-list", "config-unknown", "config-missing",
+         "config-str", "config-bool", "config-null", "config-mode",
+         "config-dim"])
+def test_load_rejects_bad_archive(tmp_path, changes, message):
+    assert archive_error(tmp_path, **changes) == message
+
+
+def test_archive_config_takes_integer_float(tmp_path):
+    """A JSON integer serves as a float, as in a --config file."""
+    path = tmp_path / "model"
+    save_model(replace(SMALL_MODEL, config=replace(SMALL_MODEL.config,
+                                                   lr_start=1)), path)
+    assert load_model(path).config.lr_start == 1
 
 
 def test_tree_derived_on_first_use(tmp_path, monkeypatch):
