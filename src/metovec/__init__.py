@@ -18,7 +18,7 @@ from .metonymy import (DEFAULT_VERBS, CandidateSentence, MetonymyTarget,
 from .ranking import (DISCARD_THRESHOLD, VIABLE_THRESHOLD, RankingTable,
                       ScoredCandidate, label_for, rank, score_candidate,
                       write_table)
-from .vectorspace import (PhraseVector, analogy, confidence,
+from .vectorspace import (PhraseVector, analogy, confidence, cosine_scores,
                           cosine_similarity, nearest_neighbours,
                           phrase_vector)
 
@@ -41,6 +41,6 @@ __all__ = [
     "object_np_after", "validate_direct_object",
     "DISCARD_THRESHOLD", "VIABLE_THRESHOLD", "RankingTable",
     "ScoredCandidate", "label_for", "rank", "score_candidate", "write_table",
-    "PhraseVector", "analogy", "confidence", "cosine_similarity",
-    "nearest_neighbours", "phrase_vector",
+    "PhraseVector", "analogy", "confidence", "cosine_scores",
+    "cosine_similarity", "nearest_neighbours", "phrase_vector",
 ]

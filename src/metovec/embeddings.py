@@ -463,6 +463,9 @@ def _load_archive(handle, path) -> EmbeddingModel:
         raise ValueError(f"{path}: words are not UTF-8: {exc}") from None
     if len(words) != v:
         raise ValueError(f"{path}: {len(words)} words for {v} counts")
+    repeat = _first_repeat(words)
+    if repeat is not None:
+        raise ValueError(f"{path}: word {words[repeat]!r} appears twice")
     config, vocab_fields = _config_from_json(arrays["config"], path)
     if config.dim != d:
         raise ValueError(f"{path}: config dim {config.dim} differs from "
@@ -470,6 +473,17 @@ def _load_archive(handle, path) -> EmbeddingModel:
     vocab = Vocabulary(words=tuple(words), counts=tuple(counts.tolist()),
                        **vocab_fields)
     return EmbeddingModel(inputs, nodes, vocab, config)
+
+
+def _first_repeat(words):
+    """Index of the first word equal to an earlier one, or None: the
+    vocabulary maps each word to one row."""
+    seen = set()
+    for i, word in enumerate(words):
+        if word in seen:
+            return i
+        seen.add(word)
+    return None
 
 
 def is_json_type(value, expected) -> bool:
@@ -559,6 +573,10 @@ def _load_text_model(path) -> EmbeddingModel:
 
         inputs, nodes = np.empty((v, d)), np.empty((v - 1, d))
         words = read_rows(inputs, "vector", "#nodes")
+        repeat = _first_repeat(words)
+        if repeat is not None:  # vector row i is line i + 2, after the header
+            raise ValueError(f"{path}:{repeat + 2}: word {words[repeat]!r} "
+                             "appears twice")
         read_rows(nodes, "node", "#counts")
         counts = []
         for i, vector_word in enumerate(words, 1):

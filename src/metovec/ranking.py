@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metonymy import VerbObject
-from .vectorspace import confidence, phrase_vector
+from .vectorspace import confidence_scores, phrase_vector
 
 DISCARD_THRESHOLD = 0.2
 VIABLE_THRESHOLD = 0.5
@@ -51,26 +51,11 @@ def _check_head(target: VerbObject, candidate: VerbObject):
             f"target NP head {target.np_head_lemma!r}")
 
 
-def _target_phrase(model, target: VerbObject):
-    return phrase_vector(model, [target.verb_lemma, target.np_head_lemma])
-
-
-def _phrase_confidence(model, target_phrase, candidate: VerbObject):
-    if candidate.verb_lemma not in model.vocab:
-        return None
-    candidate_phrase = phrase_vector(
-        model, [candidate.verb_lemma, candidate.np_head_lemma])
-    if not target_phrase.in_vocabulary or not candidate_phrase.in_vocabulary:
-        return None
-    return confidence(target_phrase.vector, candidate_phrase.vector)
-
-
 def score_candidate(model, target: VerbObject, candidate: VerbObject):
     """Clamped cosine between the target and candidate joint phrase
     vectors (verb lemma + shared NP head), or None when the candidate
     verb is out of vocabulary."""
-    _check_head(target, candidate)
-    return _phrase_confidence(model, _target_phrase(model, target), candidate)
+    return rank(model, target, [candidate]).rows[0].confidence
 
 
 def rank(model, target: VerbObject, candidates,
@@ -79,23 +64,29 @@ def rank(model, target: VerbObject, candidates,
     ties broken by verb lemma, NotInVocabulary rows last.
 
     Every candidate shares the target's NP head, so a row's score depends
-    only on its verb: each distinct verb is scored once, with the same
-    arithmetic as ``score_candidate``.
+    only on its verb: the table's distinct in-vocab verbs are scored as
+    one block of phrase vectors against the target phrase.
     """
-    target_phrase = _target_phrase(model, target)
-    scores = {}
-    rows = []
+    candidates = list(candidates)
     for candidate in candidates:
         _check_head(target, candidate)
-        verb = candidate.verb_lemma
-        if verb not in scores:
-            scores[verb] = _phrase_confidence(model, target_phrase, candidate)
-        score = scores[verb]
-        if score is None:
-            rows.append(ScoredCandidate(candidate, None, NOT_IN_VOCAB))
-        else:
-            rows.append(ScoredCandidate(
-                candidate, score, label_for(score, discard, viable)))
+    scores = dict.fromkeys(candidate.verb_lemma for candidate in candidates)
+    known = [verb for verb in scores if verb in model.vocab]
+    phrase = phrase_vector(model, [target.verb_lemma, target.np_head_lemma])
+    if known and phrase.in_vocabulary:
+        block = model.input_vectors[[model.vocab.index[v] for v in known]]
+        if target.np_head_lemma in model.vocab:
+            # (verb + head) / 2 is phrase_vector's mean of the two rows
+            block += model.vector(target.np_head_lemma)
+            block /= 2
+        scores.update(zip(known,
+                          confidence_scores(block, phrase.vector).tolist()))
+    rows = []
+    for candidate in candidates:
+        score = scores[candidate.verb_lemma]
+        label = (NOT_IN_VOCAB if score is None
+                 else label_for(score, discard, viable))
+        rows.append(ScoredCandidate(candidate, score, label))
     rows.sort(key=lambda row: (
         row.confidence is None,
         -(row.confidence if row.confidence is not None else 0.0),

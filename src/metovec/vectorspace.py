@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,32 +13,60 @@ from .embeddings import EmbeddingModel, NotInVocabularyError
 SAFE_NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
 
 
-def _with_norm(v):
-    """``v`` and its norm.  Outside SAFE_NORM_RANGE the squares underflow
-    into subnormals, which lose precision, or overflow; there ``v`` is
-    first scaled by the power of two that puts its largest magnitude in
-    [0.5, 1).  The scaling is exact, so the cosine is unchanged."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
-        return v, norm
-    _, exponent = math.frexp(float(np.abs(v).max(initial=0.0)))
-    v = np.ldexp(v, -exponent)
-    return v, np.linalg.norm(v)
+def _with_norms(rows):
+    """Norms of ``rows`` (2-D), the ids of the rows whose norm is outside
+    SAFE_NORM_RANGE, and those rows rescaled.  There the squares underflow
+    into subnormals, which lose precision, or overflow; so each is scaled
+    by the power of two that puts its largest magnitude in [0.5, 1), and
+    its norm taken again.  The scaling is exact, so cosines are unchanged."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    low, high = SAFE_NORM_RANGE
+    ids = np.flatnonzero(~((low < norms) & (norms < high)))
+    _, exponents = np.frexp(np.abs(rows[ids]).max(axis=1, initial=0.0))
+    scaled = np.ldexp(rows[ids], -exponents[:, None])
+    norms[ids] = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    return norms, ids, scaled
+
+
+def cosine_scores(matrix, query) -> np.ndarray:
+    """Cosine of each row of ``matrix`` with ``query``, NaN for a row of
+    norm 0.  Norms and dot products are ``einsum`` sums per row: O(V)
+    extra memory, no BLAS, and a row's score does not depend on the other
+    rows, so a one-row call gives the same bits as a block."""
+    query = np.asarray(query, dtype=float)[None]
+    query_norm, ids, scaled = _with_norms(query)
+    if query_norm[0] == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    query = (scaled if ids.size else query)[0]
+    matrix = np.asarray(matrix, dtype=float)
+    norms, ids, scaled = _with_norms(matrix)
+    scores = np.einsum("ij,j->i", matrix, query)
+    if ids.size:
+        scores[ids] = np.einsum("ij,j->i", scaled, query)
+    with np.errstate(invalid="ignore"):  # a zero row scores 0 / 0, NaN
+        scores /= norms * query_norm
+    return scores
+
+
+def _defined(scores):
+    if np.isnan(scores).any():
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    return scores
 
 
 def cosine_similarity(a, b) -> float:
     """(a . b) / (||a|| ||b||); raises on a zero-norm argument."""
-    a, norm_a = _with_norm(a)
-    b, norm_b = _with_norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    return float(_defined(cosine_scores([a], b))[0])
+
+
+def confidence_scores(matrix, query) -> np.ndarray:
+    """``cosine_scores`` clamped to [0, 1]; raises on a zero-norm row."""
+    return np.clip(_defined(cosine_scores(matrix, query)), 0.0, 1.0)
 
 
 def confidence(a, b) -> float:
     """Cosine similarity clamped to [0, 1]."""
-    return max(0.0, cosine_similarity(a, b))
+    return float(confidence_scores([a], b)[0])
 
 
 @dataclass(frozen=True)
@@ -78,18 +105,15 @@ def nearest_neighbours(model: EmbeddingModel, query, k: int,
     rows of norm 0 have no cosine and are left out."""
     if k <= 0:
         return []
-    query = np.asarray(query, dtype=float)
-    qnorm = np.linalg.norm(query)
-    if qnorm == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm query")
-    norms = np.linalg.norm(model.input_vectors, axis=1)
-    scores = model.input_vectors @ query
-    np.divide(scores, norms * qnorm, out=scores, where=norms != 0.0)
-    scores, words = scores.tolist(), model.vocab.words
-    results = [(wid, scores[wid]) for wid in np.flatnonzero(norms).tolist()
-               if words[wid] not in exclude]
-    results.sort(key=lambda item: (-item[1], item[0]))
-    return [(model.vocab.words[wid], score) for wid, score in results[:k]]
+    scores = cosine_scores(model.input_vectors, query)
+    vocab = model.vocab
+    scores[[vocab.index[word] for word in exclude if word in vocab]] = np.nan
+    ids = np.flatnonzero(~np.isnan(scores))
+    if k < len(ids):
+        kth = -np.partition(-scores[ids], k - 1)[k - 1]
+        ids = ids[scores[ids] >= kth]
+    ids = ids[np.lexsort((ids, -scores[ids]))[:k]].tolist()
+    return [(vocab.words[i], float(scores[i])) for i in ids]
 
 
 def analogy(model: EmbeddingModel, a: str, b: str, c: str,

@@ -209,6 +209,18 @@ def test_cmd_query_oov_message(trained_model, subcommand, words):
     assert str(exit_.value) == "error: 'zebra' is not in the model vocabulary"
 
 
+def test_cmd_query_repeated_word(tmp_path, capsys):
+    """A model with two 'a' rows stops the query at one located error
+    line, before any neighbour is printed."""
+    path = tmp_path / "model.txt"
+    path.write_text("2 1\na 1.0\na 2.0\n#nodes\nn0 0.5\n#counts\n"
+                    "a 3\na 1\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", "neighbors", "--model", str(path), "a"])
+    assert str(exit_.value) == f"error: {path}:3: word 'a' appears twice"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("subcommand, words, message", [
     ("similarity", ["chapter", "read", "the"],
      "query similarity takes 2 words, got 3"),

@@ -838,6 +838,18 @@ def test_load_rejects_bad_archive(tmp_path, changes, message):
     assert archive_error(tmp_path, **changes) == message
 
 
+def test_load_rejects_repeated_word_text(tmp_path):
+    """A word on two vector rows would map to one of them only; the error
+    gives the line of the second."""
+    assert load_error(tmp_path, 4, "a 5.0 6.0") \
+        == "4: word 'a' appears twice"
+
+
+def test_load_rejects_repeated_word_binary(tmp_path):
+    assert archive_error(tmp_path, words=utf8("a\nb\na")) \
+        == "word 'a' appears twice"
+
+
 def test_archive_config_takes_integer_float(tmp_path):
     """A JSON integer serves as a float, as in a --config file."""
     path = tmp_path / "model"

@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from metovec.metonymy import CandidateSentence, MetonymyTarget
 from metovec.ranking import (DISCARDED, DISCARD_THRESHOLD, NOT_IN_VOCAB,
                              REJECTED, VIABLE, VIABLE_THRESHOLD, label_for,
                              rank, score_candidate, write_table)
+from metovec.vectorspace import confidence, phrase_vector
 
 from conftest import make_model
 
@@ -168,4 +170,61 @@ def test_confidence_never_exceeds_one():
     model = make_model(words)
     table = rank(model, target("v0"),
                  [candidate(f"v{i}") for i in range(1, 6)])
-    assert all(r.confidence <= 1.0 + 1e-12 for r in table.rows if r.scored)
+    assert all(r.confidence <= 1.0 for r in table.rows if r.scored)
+    # candidate verbs parallel to the target verb, with a zero head vector:
+    # every phrase pair is parallel, and cosines round up past 1 often
+    direction = rng.normal(size=3)
+    words = {f"v{i}": list((i + 1) * direction) for i in range(40)}
+    words["chapter"] = [0.0, 0.0, 0.0]
+    table = rank(make_model(words), target("v0"),
+                 [candidate(f"v{i}") for i in range(1, 40)])
+    assert all(r.confidence <= 1.0 for r in table.rows)
+
+
+VERBS = ("v0", "v1", "v2", "v3", "v4")
+
+
+@given(st.sets(st.sampled_from(("begin", "chapter", *VERBS))),
+       st.lists(st.sampled_from(("begin", *VERBS)), max_size=12),
+       st.lists(st.sampled_from([0, 900, -900]), min_size=7, max_size=7),
+       st.integers(0, 2**32 - 1))
+def test_rank_matches_per_row_scores_over_vocabularies(
+        present, verbs, exponents, seed):
+    """Any of the target verb, the head and the candidate verbs may be
+    out of vocabulary; vectors scaled by 2**+-900 take the rescale path.
+    Each row equals score_candidate and the joint-phrase definition: NIV
+    for an out-of-vocab candidate verb or an all-out target phrase, and
+    the verb alone when the head is out."""
+    rng = np.random.default_rng(seed)
+    words = {w: np.ldexp(rng.normal(size=3), e)
+             for w, e in zip(("begin", "chapter", *VERBS), exponents)
+             if w in present}
+    model = make_model({"filler": [1.0, 0.0, 0.0], **words})
+    table = rank(model, target(), [candidate(v) for v in verbs])
+    assert sorted(r.candidate.verb_lemma for r in table.rows) \
+        == sorted(verbs)
+    target_phrase = phrase_vector(model, ["begin", "chapter"])
+    for row in table.rows:
+        verb = row.candidate.verb_lemma
+        assert row.confidence == score_candidate(model, target(),
+                                                 row.candidate)
+        if verb not in model.vocab or not target_phrase.in_vocabulary:
+            assert row.confidence is None and row.label == NOT_IN_VOCAB
+        else:
+            phrase = phrase_vector(model, [verb, "chapter"])
+            assert row.confidence \
+                == confidence(phrase.vector, target_phrase.vector)
+
+
+@pytest.mark.parametrize("vectors", [
+    {"begin": [0.0, 0.0], "read": [1.0, 0.0], "chapter": [0.0, 0.0]},
+    {"begin": [1.0, 0.0], "read": [-1.0, -1.0], "chapter": [1.0, 1.0]}],
+    ids=["target-phrase", "candidate-phrase"])
+def test_zero_norm_phrase_raises(vectors):
+    """A phrase vector of norm 0 has no cosine: an error, never a NaN row
+    in a table."""
+    model = make_model(vectors)
+    with pytest.raises(ValueError, match="zero-norm"):
+        score_candidate(model, target(), candidate("read"))
+    with pytest.raises(ValueError, match="zero-norm"):
+        rank(model, target(), [candidate("peruse"), candidate("read")])

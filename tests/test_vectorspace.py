@@ -191,3 +191,56 @@ def test_similarity_matches_math():
     expected = (3 * 4 + 4 * 3) / (5 * 5)
     assert cosine_similarity(a, b) == pytest.approx(expected)
     assert math.isclose(confidence(a, b), expected)
+
+
+@st.composite
+def tied_models(draw):
+    """Models of 2-9 rows drawn from a few small integer vectors, so that
+    duplicated and parallel rows give exact ties; some hold zero rows."""
+    dim = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-2, 2).map(float), min_size=dim,
+                       max_size=dim)
+    distinct = draw(st.lists(vectors, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        distinct.append([0.0] * dim)
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=9))
+    return make_model({f"w{i}": row for i, row in enumerate(rows)})
+
+
+def brute_neighbours(model, query, k, exclude):
+    """Every nonzero, non-excluded row sorted by (-cosine, vocab id)."""
+    hits = sorted((-cosine_similarity(row, query), wid)
+                  for wid, row in enumerate(model.input_vectors)
+                  if row.any() and model.vocab.words[wid] not in exclude)
+    return [(model.vocab.words[wid], -score) for score, wid in hits[:k]]
+
+
+@given(tied_models(), st.data())
+def test_nearest_matches_brute_force(model, data):
+    size, dim = model.input_vectors.shape
+    query = data.draw(st.lists(st.integers(-2, 2).map(float), min_size=dim,
+                               max_size=dim).filter(any), label="query")
+    exclude = data.draw(st.sets(st.sampled_from(
+        [*model.vocab.words, "unknown"])), label="exclude")
+    k = data.draw(st.sampled_from([1, size - 1, size, size + 2]), label="k")
+    assert nearest_neighbours(model, query, k, exclude) \
+        == brute_neighbours(model, query, k, exclude)
+
+
+def test_nearest_ties_at_kth_place():
+    """Rows 1-3 tie exactly; a top-2 must keep the two lowest ids."""
+    model = make_model({"a": [0.0, 1.0], "b": [2.0, 2.0], "c": [1.0, 1.0],
+                        "d": [1.0, 1.0], "e": [0.0, 0.0]})
+    assert [w for w, _ in nearest_neighbours(model, [1.0, 1.0], 2)] \
+        == ["b", "c"]
+    assert [w for w, _ in nearest_neighbours(model, [1.0, 1.0], 3,
+                                             exclude={"c"})] \
+        == ["b", "d", "a"]
+
+
+def test_confidence_of_parallel_vectors_at_most_one():
+    """(a, 3a) has cosine 1 up to rounding, which often lands above 1;
+    the clamp keeps every score at most 1."""
+    rng = np.random.default_rng(3)
+    scores = [confidence(a, 3 * a) for a in rng.normal(size=(2000, 5))]
+    assert max(scores) == 1.0 and min(scores) > 1.0 - 1e-15
