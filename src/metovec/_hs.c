@@ -1,12 +1,22 @@
 /* The hierarchical-softmax training step, CBOW or Skip-gram: hs_example
  * trains one focus position (train_example_*), hs_epoch every token of an
- * epoch (train).  Per node, hidden . node is summed left to right and
- * clamped to +-6, the residual is 1 / (1 + exp(-score)) - target, the
- * gradient wrt hidden gains residual * node, then the node row gets
- * -(lr * residual) * hidden.  Built with -ffp-contract=off, so no multiply
- * is fused into an add; python_train in tests/test_embeddings.py matches it
- * bit for bit.  counts[0..3] gain examples, skipped, predictions and node
- * updates; out[1] gains the loss -log p summed over every prediction. */
+ * epoch (train).  Per node, hidden . node is summed in four interleaved
+ * lanes: for k < dim - dim % 4 lane k % 4 gains node[k] * hidden[k], each
+ * lane in ascending k, the tail terms go to lane 0, and the score is
+ * (s0 + s1) + (s2 + s3), clamped to +-6.  The residual is
+ * 1 / (1 + exp(-score)) - target, the gradient wrt hidden gains
+ * residual * node, then the node row gets -(lr * residual) * hidden.  Built
+ * with -ffp-contract=off, so no multiply is fused into an add; python_train
+ * in tests/test_embeddings.py matches it bit for bit.  counts[0..3] gain
+ * examples, skipped, predictions and node updates; out[1] gains the loss
+ * -log p of every prediction, one log per prediction: p is the product of
+ * the path's node probabilities, 1 / (1 + e) for target 1 and e / (1 + e)
+ * for target 0, with e = exp(-score).  The clamp keeps each factor at or
+ * above 1 / (1 + e^6) ~ 2.5e-3, so p stays a normal double, at or above
+ * ~1e-305, on paths of up to 117 nodes.  A Huffman path of d nodes needs
+ * counts summing to at least F(d + 2), the Fibonacci number: int64
+ * Fibonacci counts give paths of 91 nodes, and 118 nodes need a total
+ * count of F(120) ~ 5.4e24, over 5.8e5 words at the int64 limit. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -21,18 +31,27 @@ static void hs_step(const int32_t *path_nodes, const double *targets,
                     const double *hidden, double *grad, int64_t dim,
                     double lr, int64_t *counts, double *out)
 {
-    double loss = 0.0;
+    double prob = 1.0;
+    int64_t lanes_end = dim - dim % 4;
     memset(grad, 0, dim * sizeof(double));
     for (int64_t j = lo; j < hi; j++) {
         double *node = nodes + path_nodes[j] * dim;
-        double s = 0.0;
-        for (int64_t k = 0; k < dim; k++)
-            s += node[k] * hidden[k];
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t k = 0; k < lanes_end; k += 4) {
+            s0 += node[k] * hidden[k];
+            s1 += node[k + 1] * hidden[k + 1];
+            s2 += node[k + 2] * hidden[k + 2];
+            s3 += node[k + 3] * hidden[k + 3];
+        }
+        for (int64_t k = lanes_end; k < dim; k++)
+            s0 += node[k] * hidden[k];
+        double s = (s0 + s1) + (s2 + s3);
         if (s < -CLAMP) s = -CLAMP;
         if (s > CLAMP) s = CLAMP;
         double e = exp(-s);
-        double residual = 1.0 / (1.0 + e) - targets[j];
-        loss += targets[j] == 0.0 ? log1p(e) + s : log1p(e);
+        double p = 1.0 / (1.0 + e);
+        double residual = p - targets[j];
+        prob *= targets[j] == 0.0 ? e / (1.0 + e) : p;
         double g = lr * residual;
         for (int64_t k = 0; k < dim; k++) {
             grad[k] += residual * node[k];
@@ -41,7 +60,7 @@ static void hs_step(const int32_t *path_nodes, const double *targets,
     }
     counts[2]++;
     counts[3] += hi - lo;
-    out[1] += loss;
+    out[1] -= log(prob);
 }
 
 /* trains position f of the sentence ids[first, end) with up to window words

@@ -141,6 +141,17 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     raise ValueError(f"unknown corpus format {format!r}")
 
 
+def first_repeat(words):
+    """Index of the first word equal to an earlier one, or None: the
+    vocabulary maps each word to one row."""
+    seen = set()
+    for i, word in enumerate(words):
+        if word in seen:
+            return i
+        seen.add(word)
+    return None
+
+
 @dataclass
 class Vocabulary:
     """Lemma -> dense id map, capped at the ``max_size`` most frequent types.
@@ -157,6 +168,9 @@ class Vocabulary:
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
+        if len(self.index) != len(self.words):
+            repeat = self.words[first_repeat(self.words)]
+            raise ValueError(f"word {repeat!r} appears twice")
 
     def __len__(self):
         return len(self.words)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import math
+import struct
 import time
 import zipfile
+import zlib
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -13,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _hs
-from .corpus import Vocabulary, build_vocabulary, numbered_lines
+from .corpus import (Vocabulary, build_vocabulary, first_repeat,
+                     numbered_lines)
 from .huffman import HuffmanTree, build_huffman_tree
 
 log = logging.getLogger(__name__)
@@ -291,8 +296,11 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     mapped to vocabulary ids with OOV tokens dropped; the learning rate
     decays linearly with tokens processed from lr_start to lr_end.  Each
     epoch is one ``hs_epoch`` call into ``_hs.c``: one ``hs_example``, the
-    step ``train_example_*`` run, per token.  The first call compiles it
-    (see ``_hs``), so a missing or failing C compiler raises OSError.
+    step ``train_example_*`` run, per token.  Each node's score sums its
+    dot product in four interleaved lanes, combined as
+    ``(s0 + s1) + (s2 + s3)``; each prediction adds its loss with one log
+    of the product of its node probabilities.  The first call compiles the
+    step (see ``_hs``), so a missing or failing C compiler raises OSError.
     ``python_train`` in tests/test_embeddings.py is its bit-exact reference.
     """
     if vocab is None:
@@ -424,12 +432,13 @@ def _load_archive(handle, path) -> EmbeddingModel:
     """The model in the binary archive open at ``handle``.  Member names,
     dtypes and shapes are checked before any value is used."""
     try:
-        with np.load(handle, allow_pickle=False) as archive:
-            names = sorted(archive.zip.namelist())
+        with zipfile.ZipFile(handle) as archive:
+            names = sorted(archive.namelist())
             expected = sorted(name + ".npy" for name in _MEMBER_DTYPES)
             if names != expected:
                 raise ValueError(f"members {names}, expected {expected}")
-            arrays = {name: archive[name] for name in _MEMBER_DTYPES}
+            arrays = {name: _read_member(archive, handle, name + ".npy")
+                      for name in _MEMBER_DTYPES}
     # a cut or corrupt zip raises BadZipFile, a member whose data ends
     # early EOFError, a corrupt offset OSError, and a member flagged as
     # encrypted or compressed by an unknown method RuntimeError
@@ -463,27 +472,56 @@ def _load_archive(handle, path) -> EmbeddingModel:
         raise ValueError(f"{path}: words are not UTF-8: {exc}") from None
     if len(words) != v:
         raise ValueError(f"{path}: {len(words)} words for {v} counts")
-    repeat = _first_repeat(words)
-    if repeat is not None:
-        raise ValueError(f"{path}: word {words[repeat]!r} appears twice")
     config, vocab_fields = _config_from_json(arrays["config"], path)
     if config.dim != d:
         raise ValueError(f"{path}: config dim {config.dim} differs from "
                          f"vector width {d}")
-    vocab = Vocabulary(words=tuple(words), counts=tuple(counts.tolist()),
-                       **vocab_fields)
+    try:  # Vocabulary's one error: a word that appears twice
+        vocab = Vocabulary(words=tuple(words), counts=tuple(counts.tolist()),
+                           **vocab_fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return EmbeddingModel(inputs, nodes, vocab, config)
 
 
-def _first_repeat(words):
-    """Index of the first word equal to an earlier one, or None: the
-    vocabulary maps each word to one row."""
-    seen = set()
-    for i, word in enumerate(words):
-        if word in seen:
-            return i
-        seen.add(word)
-    return None
+def _read_member(archive, handle, name) -> np.ndarray:
+    """The array in the uncompressed member ``name`` of ``archive``.  The
+    member is read from ``handle`` into one buffer and its CRC-32 checked,
+    as zipfile checks it, before the .npy header is parsed; the array is a
+    view of the buffer past the header.  np.load would copy the member
+    through a 256 KiB bytes object at a time."""
+    info = archive.getinfo(name)
+    with archive.open(info):  # checks the local header, flags and method
+        pass
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"member {name} is compressed")
+    # the local header: 30 bytes, the last four the sizes of the name and
+    # of the extra field that follow it
+    handle.seek(info.header_offset + 26)
+    name_size, extra_size = struct.unpack("<HH", handle.read(4))
+    handle.seek(info.header_offset + 30 + name_size + extra_size)
+    member = np.empty(info.file_size, dtype=np.uint8)
+    if handle.readinto(member) != info.file_size:
+        raise EOFError(f"member {name} ends early")
+    if zlib.crc32(member) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
+    # numpy reads at most 10000 header bytes
+    header = io.BytesIO(member[:1 << 16].tobytes())
+    version = np.lib.format.read_magic(header)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, fortran_order, dtype = read_header(header)
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when "
+                         "allow_pickle=False")
+    data = member[header.tell():]
+    if data.size != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"member {name} holds {data.size} bytes for an "
+                         f"array of shape {shape} and dtype {dtype}")
+    array = data.view(dtype)
+    if fortran_order:
+        return array.reshape(shape[::-1]).T
+    return array.reshape(shape)
 
 
 def is_json_type(value, expected) -> bool:
@@ -573,7 +611,7 @@ def _load_text_model(path) -> EmbeddingModel:
 
         inputs, nodes = np.empty((v, d)), np.empty((v - 1, d))
         words = read_rows(inputs, "vector", "#nodes")
-        repeat = _first_repeat(words)
+        repeat = first_repeat(words)
         if repeat is not None:  # vector row i is line i + 2, after the header
             raise ValueError(f"{path}:{repeat + 2}: word {words[repeat]!r} "
                              "appears twice")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
-                            build_vocabulary, load_corpus, next_word_counts)
+                            Vocabulary, build_vocabulary, load_corpus,
+                            next_word_counts)
 from metovec.embeddings import load_model
 from metovec.evaluation import load_fixture
 from metovec.metonymy import load_gold_targets
@@ -155,6 +156,15 @@ def test_vocab_parameter_validation(proverb_path):
         build_vocabulary(corp, max_size=0)
     with pytest.raises(ValueError):
         build_vocabulary(corp, max_size=5, min_count=0)
+
+
+def test_vocab_rejects_repeated_word():
+    """Each word maps to one row; a repeat would leave its first row
+    unreachable and make a model save_model writes but load_model
+    refuses."""
+    with pytest.raises(ValueError, match="^word 'a' appears twice$"):
+        Vocabulary(words=("a", "a", "b"), counts=(3, 2, 1), total_tokens=6,
+                   max_size=3)
 
 
 def test_vocab_deterministic(proverb_path):

@@ -265,32 +265,38 @@ def repeats_corpus(path, seed):
 def python_train(corpus, config):
     """Sequential trainer in pure Python, the reference for the one
     compiled step that ``train`` and ``train_example_*`` run, in its order
-    of operations: dot products and gradients summed left to right from
-    0.0, ``math.exp`` and ``math.log1p``.  Returns the model, the TrainStats
-    counts and the mean loss per prediction of each epoch."""
+    of operations: each dot product summed in four interleaved lanes
+    (``k % 4`` below ``dim - dim % 4``, the tail into lane 0) and combined
+    as ``(s0 + s1) + (s2 + s3)``, gradients summed left to right from 0.0,
+    ``math.exp``, and one ``math.log`` per prediction of the product of its
+    node probabilities.  Returns the model, the TrainStats counts and the
+    mean loss per prediction of each epoch."""
     vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
     model = init_model(vocab, config)
     tree = model.tree
     inputs = model.input_vectors.tolist()
     nodes = model.node_vectors.tolist()
     dim = config.dim
+    lanes_end = dim - dim % 4
 
     def step(hidden, word, lr):
         grad = [0.0] * dim
-        loss = 0.0
+        prob = 1.0
         for node_id, bit in zip(tree.paths[word], tree.codes[word]):
             node = nodes[node_id]
-            score = 0.0
+            lanes = [0.0] * 4
             for k in range(dim):  # not sum(): it compensates from 3.12 on
-                score += node[k] * hidden[k]
+                lanes[k % 4 if k < lanes_end else 0] += node[k] * hidden[k]
+            score = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
             score = min(max(score, -6.0), 6.0)
             e = math.exp(-score)
-            residual = 1.0 / (1.0 + e) - (1.0 - bit)
-            loss += math.log1p(e) + score if bit else math.log1p(e)
+            p = 1.0 / (1.0 + e)
+            residual = p - (1.0 - bit)
+            prob *= e / (1.0 + e) if bit else p
             for k in range(dim):
                 grad[k] += residual * node[k]
                 node[k] -= lr * residual * hidden[k]
-        return grad, loss
+        return grad, -math.log(prob)
 
     encoded = [ids for ids in ([vocab.index[lemma] for lemma in s.lemmas
                                 if lemma in vocab.index] for s in corpus)
@@ -343,11 +349,15 @@ def python_train(corpus, config):
 
 @pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
 @pytest.mark.parametrize("seed, window, dim", [(1, 1, 3), (2, 2, 5),
-                                               (3, 4, 8), (4, 3, 17)])
+                                               (3, 4, 8), (4, 3, 17),
+                                               (5, 2, 2), (6, 3, 6)])
 def test_train_matches_python_trainer(tmp_path, mode, seed, window, dim):
     corpus = repeats_corpus(tmp_path / "repeats.txt", seed)
+    # at word2vec's 0.025 the scores stay so small that exp(-score) rounds
+    # alike under any order of the dot product's sum; 1.0 makes the order
+    # show in the vectors
     config = TrainingConfig(mode=mode, window=window, dim=dim, epochs=2,
-                            seed=seed)
+                            lr_start=1.0, seed=seed)
     stats = TrainStats()
     model = train(corpus, config, stats=stats)
     expected, counts, losses = python_train(corpus, config)
@@ -356,6 +366,52 @@ def test_train_matches_python_trainer(tmp_path, mode, seed, window, dim):
     assert dict(examples=stats.examples, skipped=stats.skipped,
                 predictions=stats.predictions,
                 node_updates=stats.node_updates) == counts
+    assert [epoch.loss for epoch in stats.epochs] \
+        == pytest.approx(losses, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode, step", [(CBOW, train_example_cbow),
+                                        (SKIPGRAM, train_example_skipgram)])
+def test_loss_at_deepest_tree(tmp_path, mode, step):
+    """Fibonacci counts up to the int64 limit give the deepest Huffman
+    path, 91 nodes; training on its word alone logs, per epoch, the mean
+    of the per-node log1p sums of its predictions.  Each two-word sentence
+    makes one prediction per example, so replaying the examples one by one
+    through the same step gives the state before each prediction."""
+    fibonacci = [1, 1]
+    while fibonacci[-1] + fibonacci[-2] < 2**63:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    vocab = vocab_from_counts({f"w{i}": count
+                               for i, count in enumerate(fibonacci)})
+    config = TrainingConfig(mode=mode, epochs=3, lr_start=1.0, seed=7)
+    replay = init_model(vocab, config)
+    tree = replay.tree
+    deepest = max(range(len(vocab)), key=lambda w: len(tree.codes[w]))
+    assert len(tree.codes[deepest]) == 91
+    corpus_path = tmp_path / "deepest.txt"
+    corpus_path.write_text(f"{vocab.words[deepest]} "
+                           f"{vocab.words[deepest]}\n" * 3)
+    stats = TrainStats()
+    model = train(load_corpus(corpus_path, "plain"), config, vocab=vocab,
+                  stats=stats)
+
+    path, bits = list(tree.paths[deepest]), tree.codes[deepest]
+    total, seen, losses = 6 * config.epochs, 0, []
+    for _ in range(config.epochs):
+        loss = 0.0
+        for focus in (0, 1, 0, 1, 0, 1):
+            scores = np.clip(replay.node_vectors[path]
+                             @ replay.input_vectors[deepest], -6.0, 6.0)
+            loss += sum(math.log1p(math.exp(-score)) + score * bit
+                        for score, bit in zip(scores.tolist(), bits))
+            lr = config.lr_start \
+                - (config.lr_start - config.lr_end) * (seen / total)
+            seen += 1
+            assert step(replay, tree, focus, [deepest, deepest], lr)
+        losses.append(loss / 6)
+    assert np.array_equal(replay.input_vectors, model.input_vectors)
+    assert np.array_equal(replay.node_vectors, model.node_vectors)
+    assert all(math.isfinite(epoch.loss) for epoch in stats.epochs)
     assert [epoch.loss for epoch in stats.epochs] \
         == pytest.approx(losses, rel=1e-12, abs=0)
 
@@ -403,10 +459,19 @@ def test_train_without_compiler_is_an_error(tmp_path, monkeypatch,
               "--output", str(tmp_path / "model.txt")])
     message = str(exc.value.code)
     assert message.startswith("error: cannot compile the training loop: "
-                              "cc -O2 -ffp-contract=off")
+                              + " ".join(_hs.COMPILE) + " -o ")
     assert reason in message
     assert list((tmp_path / "cache" / "metovec").iterdir()) == []
     assert not (tmp_path / "model.txt").exists()
+
+
+def test_compile_rounds_as_written():
+    """The step must round every operation as python_train does: no fused
+    multiply-add, no fast-math reassociation, and no flag that ties the
+    library to the building machine's CPU beyond the machine name in the
+    cache key."""
+    assert "-ffp-contract=off" in _hs.COMPILE
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_hs.COMPILE)
 
 
 def test_train_records_each_epoch(tmp_path, caplog):
@@ -708,6 +773,24 @@ def test_flipped_bit_in_binary_model_is_located(data):
     assert np.array_equal(loaded.input_vectors, SMALL_MODEL.input_vectors)
 
 
+def test_flipped_bit_in_large_member_header_is_located(tmp_path):
+    """zipfile checks a member's CRC-32 once its reads reach the member's
+    end, which for a member over 4 KiB came after numpy had parsed the .npy
+    header: a flipped bit there raised tokenize.TokenError."""
+    rng = np.random.default_rng(0)
+    words = {f"w{i}": rng.standard_normal(10).tolist() for i in range(100)}
+    path = tmp_path / "model"
+    save_model(make_model(words, {w: 100 - i for i, w in enumerate(words)}),
+               path)
+    archive = bytearray(path.read_bytes())
+    archive[archive.find(b"'shape': (100, 10), }") + 20] ^= 1  # } -> |
+    path.write_bytes(archive)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: bad model archive: Bad CRC-32 for "
+                              "file 'inputs.npy'")
+
+
 @pytest.mark.parametrize("offset, bit", [(6, 7), (8, 0), (10, 0), (-3, 7)],
                          ids=["zip-version", "encrypted", "compression",
                               "directory-offset"])
@@ -848,6 +931,31 @@ def test_load_rejects_repeated_word_text(tmp_path):
 def test_load_rejects_repeated_word_binary(tmp_path):
     assert archive_error(tmp_path, words=utf8("a\nb\na")) \
         == "word 'a' appears twice"
+
+
+def test_load_rejects_compressed_archive(tmp_path):
+    """Members are read straight from the file, so each must be stored
+    uncompressed, as save_model stores it."""
+    with np.load(io.BytesIO(small_archive()), allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    path = tmp_path / "model.npz"
+    np.savez_compressed(path, **members)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) \
+        == f"{path}: bad model archive: member inputs.npy is compressed"
+
+
+def test_binary_load_gives_writable_arrays(tmp_path):
+    """The loaded vectors are views of the buffer each member was read
+    into; training goes on in place from them."""
+    path = tmp_path / "model"
+    save_model(SMALL_MODEL, path)
+    loaded = load_model(path)
+    for array in (loaded.input_vectors, loaded.node_vectors):
+        assert array.flags.writeable and array.flags.c_contiguous
+    loaded.input_vectors[0, 0] = 9.0
+    assert loaded.input_vectors[0, 0] == 9.0
 
 
 def test_archive_config_takes_integer_float(tmp_path):
