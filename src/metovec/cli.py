@@ -8,13 +8,14 @@ import logging
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, metonymy, ranking
-from .embeddings import (CBOW, SKIPGRAM, TrainingConfig, TrainStats,
-                         is_json_type, load_model, save_model, train)
+from .embeddings import (CBOW, SKIPGRAM, TRAINING_TYPES, TrainingConfig,
+                         TrainStats, check_config, is_json_type, load_model,
+                         save_model, train)
 from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
@@ -45,18 +46,17 @@ class PipelineConfig:
         return tuple(metonymy.VerbSpec(l, e, c) for l, e, c in self.verbs)
 
 
-TRAINING_KEYS = {f.name for f in fields(TrainingConfig)}
-PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"training"}
-CONFIG_KEYS = TRAINING_KEYS | PIPELINE_KEYS
-KEY_TYPES = {key: hint for cls in (PipelineConfig, TrainingConfig)
-             for key, hint in typing.get_type_hints(cls).items()
-             if key != "training"}
+# the type of each key of a config file: the pipeline keys and, flat next
+# to them, the training keys
+KEY_TYPES = {key: hint for key, hint
+             in typing.get_type_hints(PipelineConfig).items()
+             if key != "training"} | TRAINING_TYPES
 
 
 def _read_config_file(path) -> dict:
     """The JSON object in ``path``; a located ValueError when the file is
-    not UTF-8 JSON, not an object, or gives a known key a value of the
-    wrong type.
+    not UTF-8 JSON, fails ``check_config`` or holds a malformed ``verbs``
+    entry.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -67,17 +67,7 @@ def _read_config_file(path) -> dict:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
                              f"{exc.reason}") from None
-    if not isinstance(values, dict):
-        raise ValueError(f"{path}: config must be a JSON object, "
-                         f"not {type(values).__name__}")
-    for key, value in values.items():
-        expected = KEY_TYPES.get(key)
-        if expected is None:
-            continue  # unknown keys are reported by load_config
-        if not is_json_type(value, expected):
-            name = getattr(expected, "__name__", expected)
-            raise ValueError(f"{path}: config key {key!r} must be {name}, "
-                             f"not {value!r}")
+    check_config(values, KEY_TYPES, path)
     for n, entry in enumerate(values.get("verbs", ())):
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(map(is_json_type, entry, (str, float, str)))):
@@ -90,21 +80,30 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     """Config file (JSON), then flag overrides; flags win.
 
     Training keys (``mode``, ``dim``, ...) are flat, next to the pipeline
-    keys, and go to ``PipelineConfig.training``; any other key is an error.
+    keys, and go to ``PipelineConfig.training``.  The file's values are
+    checked first, so an out-of-range value in it fails as
+    ``path: bad config: ...``, as in a model archive.
     """
-    values = {}
+    config = PipelineConfig()
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        values.update(_read_config_file(path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-    unknown = sorted(values.keys() - CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown config key "
-                         + ", ".join(repr(key) for key in unknown))
-    training = {key: values.pop(key) for key in TRAINING_KEYS & values.keys()}
-    return PipelineConfig(training=TrainingConfig(**training), **values)
+        values = _read_config_file(path)
+        try:
+            config = _updated(config, values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad config: {exc}") from None
+    flags = {key: value for key, value in (overrides or {}).items()
+             if value is not None}
+    check_config(flags, KEY_TYPES)
+    return _updated(config, flags)
+
+
+def _updated(config, values) -> PipelineConfig:
+    """``config`` with the keys of ``values`` replaced; the dataclasses
+    check the ranges."""
+    training = {key: values.pop(key) for key in values.keys() & TRAINING_TYPES}
+    return replace(config, training=replace(config.training, **training),
+                   **values)
 
 
 def _load(path, fmt):
@@ -296,7 +295,7 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     # an option whose dest is a config key overrides that key
-    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
+    overrides = {k: v for k, v in vars(args).items() if k in KEY_TYPES}
     try:
         args.func(args, load_config(args.config, overrides))
     except (OSError, ValueError, KeyError,

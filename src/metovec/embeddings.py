@@ -7,11 +7,13 @@ import json
 import logging
 import math
 import struct
+import sys
 import time
+import typing
 import zipfile
 import zlib
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,14 +60,55 @@ class TrainingConfig:
     def __post_init__(self):
         if self.mode not in (CBOW, SKIPGRAM):
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("window", "dim", "epochs", "min_count", "max_vocab"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (self.lr_start >= self.lr_end > 0):
             raise ValueError("need lr_start >= lr_end > 0")
+        # JSON reads Infinity, and any integer, even one past the largest
+        # float; lr_end <= lr_start is then finite too
+        if not self.lr_start <= sys.float_info.max:
+            raise ValueError("lr_start must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+# the type of each training key of a config JSON object
+TRAINING_TYPES = typing.get_type_hints(TrainingConfig)
+
+
+def check_config(values, types: dict, path=None, required=False):
+    """Check ``values``, a config read from JSON, against ``types``, a type
+    per key, in this order: it is a JSON object, it names no key outside
+    ``types``, it names every key in ``types`` when ``required``, and each
+    of its values has its key's type (see ``is_json_type``).  A failure
+    raises ValueError, prefixed ``path: `` when a path is given.  Ranges
+    are left to the dataclasses' ``__post_init__``."""
+    where = f"{path}: " if path else ""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}config must be a JSON object, "
+                         f"not {type(values).__name__}")
+    unknown = sorted(values.keys() - types.keys())
+    if unknown:
+        raise ValueError(f"{where}unknown config key "
+                         + ", ".join(map(repr, unknown)))
+    missing = sorted(types.keys() - values.keys()) if required else ()
+    if missing:
+        raise ValueError(f"{where}missing config key "
+                         + ", ".join(map(repr, missing)))
+    for key, value in values.items():
+        expected = types[key]
+        if not is_json_type(value, expected):
+            name = getattr(expected, "__name__", expected)
+            raise ValueError(f"{where}config key {key!r} must be {name}, "
+                             f"not {value!r}")
+
+
+def is_json_type(value, expected) -> bool:
+    """Whether a value read from JSON is an ``expected``: a JSON integer is
+    a valid float; a boolean is never a number."""
+    accepted = int | float if expected is float else expected
+    return not isinstance(value, bool) and isinstance(value, accepted)
 
 
 # a binary model file is a zip archive, which starts with this signature
@@ -77,8 +120,7 @@ _MEMBER_DTYPES = {name: np.dtype(kind) for name, kind in (
 # the archive's config JSON: the TrainingConfig fields plus the Vocabulary
 # fields that no array holds, each with the type of its value
 _VOCABULARY_KEYS = ("total_tokens", "max_size")
-_CONFIG_TYPES = ({f.name: type(f.default) for f in fields(TrainingConfig)}
-                 | dict.fromkeys(_VOCABULARY_KEYS, int))
+_CONFIG_TYPES = TRAINING_TYPES | dict.fromkeys(_VOCABULARY_KEYS, int)
 
 
 @dataclass(frozen=True)
@@ -364,8 +406,14 @@ def save_model(model: EmbeddingModel, path, text: bool = False):
     ``max_size``, as UTF-8 JSON ``uint8``).  Each member carries the
     earliest zip date, not the time of writing, so one model saved twice
     gives the same bytes.  A word holding a line break cannot be stored
-    and raises ValueError; no reader yields one.
+    and raises ValueError; no reader yields one.  Neither can a non-finite
+    vector or node entry, which ``load_model`` refuses: training at too
+    high a learning rate overflows to one.
     """
+    for label, array in (("vector", model.input_vectors),
+                         ("node", model.node_vectors)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"cannot save non-finite {label} entry")
     if text:
         _save_text_model(model, path)
         return
@@ -524,37 +572,14 @@ def _read_member(archive, handle, name) -> np.ndarray:
     return array.reshape(shape)
 
 
-def is_json_type(value, expected) -> bool:
-    """Whether a value read from JSON is an ``expected``: a JSON integer is
-    a valid float; a boolean is never a number."""
-    accepted = int | float if expected is float else expected
-    return not isinstance(value, bool) and isinstance(value, accepted)
-
-
 def _config_from_json(raw: np.ndarray, path):
     """``(TrainingConfig, {"total_tokens": .., "max_size": ..})`` from the
-    archive's config member; every key must be present, known and of its
-    type (a JSON integer serves as a float)."""
+    archive's config member, which must give every key (``check_config``)."""
     try:
         values = json.loads(raw.tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    if not isinstance(values, dict):
-        raise ValueError(f"{path}: config must be a JSON object, "
-                         f"not {type(values).__name__}")
-    unknown = sorted(values.keys() - _CONFIG_TYPES.keys())
-    if unknown:
-        raise ValueError(f"{path}: unknown config key "
-                         + ", ".join(map(repr, unknown)))
-    missing = sorted(_CONFIG_TYPES.keys() - values.keys())
-    if missing:
-        raise ValueError(f"{path}: missing config key "
-                         + ", ".join(map(repr, missing)))
-    for key, value in values.items():
-        expected = _CONFIG_TYPES[key]
-        if not is_json_type(value, expected):
-            raise ValueError(f"{path}: config key {key!r} must be "
-                             f"{expected.__name__}, not {value!r}")
+    check_config(values, _CONFIG_TYPES, path, required=True)
     vocab_fields = {key: values.pop(key) for key in _VOCABULARY_KEYS}
     try:
         return TrainingConfig(**values), vocab_fields

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,19 @@ from metovec.embeddings import EmbeddingModel, TrainingConfig
 
 
 PROVERB = "what is good for the goose is good for the gander\n"
+
+# out-of-range config values by test id, each with the error that follows
+# "<file>: " when a --config file or a model archive's config holds them
+BAD_CONFIG_RANGES = {
+    "window-0": ({"window": 0}, "bad config: window must be >= 1"),
+    "lr-infinity": ({"lr_start": math.inf},
+                    "bad config: lr_start must be finite"),
+    "lr-past-float": ({"lr_start": 10 ** 400},
+                      "bad config: lr_start must be finite"),
+    "max-vocab-0": ({"max_vocab": 0}, "bad config: max_vocab must be >= 1"),
+    "min-count-0": ({"min_count": 0}, "bad config: min_count must be >= 1"),
+    "seed-negative": ({"seed": -1}, "bad config: seed must be >= 0"),
+}
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ from metovec.metonymy import DEFAULT_VERBS, MetonymyTarget
 from metovec.ranking import (NOT_IN_VOCAB, RankingTable, ScoredCandidate,
                              label_for, score_candidate, write_table)
 
-from conftest import PROVERB, make_model, write_vertical
+from conftest import (BAD_CONFIG_RANGES, PROVERB, make_model,
+                      write_vertical)
 from test_metonymy import rescan_candidates, rescan_targets
 
 CHAPTER_SENTENCES = [
@@ -60,6 +61,10 @@ def test_config_unknown_key(tmp_path, chapter_corpus):
         main(["--config", str(cfg), "train", "--corpus", str(chapter_corpus),
               "--output", str(tmp_path / "m.txt")])
     assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
+    # with no file, the message names none
+    with pytest.raises(ValueError) as err:
+        load_config(overrides={"dimm": 1})
+    assert str(err.value) == "unknown config key 'dimm'"
 
 
 # each message follows "<file>:"
@@ -68,8 +73,11 @@ def test_config_unknown_key(tmp_path, chapter_corpus):
     ("[1]", " config must be a JSON object, not list"),
     ('{"dim": 3,\n', "2:1: malformed JSON: Expecting property name "
                      "enclosed in double quotes"),
-    ('{"dim": 3, "x": "\xff"}', " not UTF-8 at byte 17: invalid start byte")],
-    ids=["wrong-type", "not-an-object", "malformed", "not-utf8"])
+    ('{"dim": 3, "x": "\xff"}', " not UTF-8 at byte 17: invalid start byte"),
+    *((json.dumps(values), " " + message)
+      for values, message in BAD_CONFIG_RANGES.values())],
+    ids=["wrong-type", "not-an-object", "malformed", "not-utf8",
+         *BAD_CONFIG_RANGES])
 def test_config_bad_file(tmp_path, chapter_corpus, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text.encode("latin-1"))
@@ -144,8 +152,25 @@ def test_paraphrase_output_dir_from_config(tmp_path, chapter_corpus,
 def test_config_threshold_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"discard_threshold": 0.7}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         load_config(str(cfg))
+    assert str(err.value) \
+        == f"{cfg}: bad config: need 0 <= discard < viable <= 1"
+
+
+@pytest.mark.parametrize("config", [None, {"seed": 3}],
+                         ids=["no-file", "good-file"])
+def test_flag_range_error_names_no_file(tmp_path, chapter_corpus, config):
+    """A flag's value out of range is the flag's fault, not the file's."""
+    argv = ["train", "--corpus", str(chapter_corpus), "--dim", "0",
+            "--output", str(tmp_path / "m.npz")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert str(exit_.value) == "error: dim must be >= 1"
 
 
 def test_cmd_vocab(tmp_path, capsys):

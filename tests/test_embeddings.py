@@ -29,7 +29,7 @@ from metovec.embeddings import (CBOW, SKIPGRAM, EmbeddingModel,
 from metovec.huffman import build_huffman_tree
 from metovec.vectorspace import nearest_neighbours
 
-from conftest import make_model
+from conftest import BAD_CONFIG_RANGES, make_model
 from test_huffman import vocab_from_counts
 
 
@@ -826,6 +826,21 @@ def test_save_rejects_line_break_in_word(tmp_path):
     save_model(model, tmp_path / "model", text=True)  # the text form splits
 
 
+@pytest.mark.parametrize("text", [False, True], ids=["binary", "text"])
+@pytest.mark.parametrize("matrix, label", [("input_vectors", "vector"),
+                                           ("node_vectors", "node")])
+def test_save_rejects_non_finite_entry(tmp_path, text, matrix, label):
+    """Neither reader takes a non-finite entry back, so no form is written;
+    training at too high a learning rate overflows to one."""
+    model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+    getattr(model, matrix)[-1, 1] = np.inf
+    path = tmp_path / "model"
+    with pytest.raises(ValueError) as err:
+        save_model(model, path, text=text)
+    assert str(err.value) == f"cannot save non-finite {label} entry"
+    assert not path.exists()
+
+
 def archive_error(tmp_path, **changes):
     """The error of load_model on SMALL_MODEL's archive with each member
     named in ``changes`` replaced by its value, or dropped when None."""
@@ -909,14 +924,16 @@ MEMBERS = ("['config.npy', 'counts.npy', 'inputs.npy', 'nodes.npy', "
     ({"config": config_json(mode="glove")},
      "bad config: unknown training mode 'glove'"),
     ({"config": config_json(dim=3)}, "config dim 3 differs from vector "
-     "width 2")],
+     "width 2"),
+    *(({"config": config_json(**values)}, message)
+      for values, message in BAD_CONFIG_RANGES.values())],
     ids=["missing-member", "extra-member", "object-array", "inputs-dtype",
          "counts-dtype", "unicode-words", "inputs-1d", "no-words",
          "nodes-shape", "counts-shape", "words-2d", "nan-vector",
          "inf-node", "count-0", "fewer-words", "more-words", "words-utf8",
          "config-json", "config-list", "config-unknown", "config-missing",
          "config-str", "config-bool", "config-null", "config-mode",
-         "config-dim"])
+         "config-dim", *BAD_CONFIG_RANGES])
 def test_load_rejects_bad_archive(tmp_path, changes, message):
     assert archive_error(tmp_path, **changes) == message
 
