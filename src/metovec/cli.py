@@ -141,6 +141,8 @@ def cmd_query(args, config):
     if len(args.words) != wanted:
         raise ValueError(f"query {args.subcommand} takes {wanted} "
                          f"word{'s' * (wanted > 1)}, got {len(args.words)}")
+    if args.k < 1:
+        raise ValueError(f"-k must be >= 1, got {args.k}")
     model = load_model(args.model)
     if args.subcommand == "similarity":
         a, b = args.words

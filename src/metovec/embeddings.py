@@ -12,15 +12,13 @@ import time
 import typing
 import zipfile
 import zlib
-from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import _hs
-from .corpus import (Vocabulary, build_vocabulary, first_repeat,
-                     numbered_lines)
+from .corpus import Vocabulary, build_vocabulary
 from .huffman import HuffmanTree, build_huffman_tree
 
 log = logging.getLogger(__name__)
@@ -111,9 +109,7 @@ def is_json_type(value, expected) -> bool:
     return not isinstance(value, bool) and isinstance(value, accepted)
 
 
-# a binary model file is a zip archive, which starts with this signature
-_ZIP_MAGIC = b"PK\x03\x04"
-# the members of a binary model archive, one .npy file each
+# the members of a model archive, one .npy file each
 _MEMBER_DTYPES = {name: np.dtype(kind) for name, kind in (
     ("inputs", "float64"), ("nodes", "float64"), ("counts", "int64"),
     ("words", "uint8"), ("config", "uint8"))}
@@ -343,6 +339,8 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     ``(s0 + s1) + (s2 + s3)``; each prediction adds its loss with one log
     of the product of its node probabilities.  The first call compiles the
     step (see ``_hs``), so a missing or failing C compiler raises OSError.
+    An epoch whose loss is not finite, as at too high a learning rate,
+    raises ValueError, so no overflowed model is returned.
     ``python_train`` in tests/test_embeddings.py is its bit-exact reference.
     """
     if vocab is None:
@@ -389,14 +387,18 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
                  "(%.0f tokens/s)", config.mode, epoch, config.epochs,
                  record.lr, record.loss, epoch_tokens, record.seconds,
                  record.tokens_per_s)
+        if not math.isfinite(out[1]):
+            raise ValueError(f"{config.mode} epoch {epoch}: loss is not "
+                             f"finite; lr_start {config.lr_start:g} is too "
+                             "high")
     log.info("trained %s: %d examples, %d skipped",
              config.mode, stats.examples, stats.skipped)
     return model
 
 
-def save_model(model: EmbeddingModel, path, text: bool = False):
-    """Write ``model`` to ``path`` as a binary archive, or with
-    ``text=True`` in the text format of ``_save_text_model``.
+def save_model(model: EmbeddingModel, path):
+    """Write ``model`` to ``path`` as a binary archive, the one model file
+    format.
 
     The archive is the uncompressed ``.npz`` of ``np.savez``, at ``path``
     as given.  Its members are ``inputs`` (V x D float64), ``nodes``
@@ -407,16 +409,12 @@ def save_model(model: EmbeddingModel, path, text: bool = False):
     earliest zip date, not the time of writing, so one model saved twice
     gives the same bytes.  A word holding a line break cannot be stored
     and raises ValueError; no reader yields one.  Neither can a non-finite
-    vector or node entry, which ``load_model`` refuses: training at too
-    high a learning rate overflows to one.
+    vector or node entry, which ``load_model`` refuses.
     """
     for label, array in (("vector", model.input_vectors),
                          ("node", model.node_vectors)):
         if not np.isfinite(array).all():
             raise ValueError(f"cannot save non-finite {label} entry")
-    if text:
-        _save_text_model(model, path)
-        return
     for word in model.vocab.words:
         if "\n" in word:
             raise ValueError(f"cannot save word {word!r}: it holds a line "
@@ -439,41 +437,13 @@ def _utf8(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
-def _save_text_model(model: EmbeddingModel, path):
-    """Write the text model format.
-
-    Line 1 is ``V D``, then V ``word v1 .. vD`` rows, a ``#nodes`` sentinel
-    and V-1 node rows in the same layout.  A trailing ``#counts`` section
-    stores the vocabulary frequencies so the Huffman tree (and with it
-    leaf_probability and resumed training) is reproducible after a load.
-    Fields are space-separated, but a word may itself contain spaces (the
-    vertical corpus format allows a lemma like ``ice cream``): the last D
-    fields of a row are the vector, the last field of a ``#counts`` row
-    the count, and everything before them is the word.
-    """
-    v, d = model.input_vectors.shape
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"{v} {d}\n")
-        for word, row in zip(model.vocab.words, model.input_vectors):
-            out.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
-        out.write("#nodes\n")
-        for idx, row in enumerate(model.node_vectors):
-            out.write(f"n{idx} " + " ".join(map(repr, row.tolist())) + "\n")
-        out.write("#counts\n")
-        for word, count in zip(model.vocab.words, model.vocab.counts):
-            out.write(f"{word} {count}\n")
-
-
 def load_model(path) -> EmbeddingModel:
-    """Read a model written by ``save_model``.  A file that starts as a zip
-    archive does (``PK\\x03\\x04``) is read as the binary archive, any
-    other as the text format, so text and hand-written models still load.
-    A malformed file of either form raises a ValueError naming ``path``."""
+    """Read a model archive written by ``save_model``.  A malformed
+    archive, or any other file, raises a ValueError that starts
+    ``path: ``; a file that is not a zip fails as
+    ``path: bad model archive: File is not a zip file``."""
     with open(path, "rb") as handle:
-        if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            handle.seek(0)
-            return _load_archive(handle, path)
-    return _load_text_model(path)
+        return _load_archive(handle, path)
 
 
 def _load_archive(handle, path) -> EmbeddingModel:
@@ -585,83 +555,3 @@ def _config_from_json(raw: np.ndarray, path):
         return TrainingConfig(**values), vocab_fields
     except ValueError as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-
-
-def _load_text_model(path) -> EmbeddingModel:
-    """Read a text model in one pass: header, V vector rows, ``#nodes``,
-    V-1 node rows, ``#counts``, V count rows, end of file.
-    Each vector and node row is parsed into its preallocated array row.  A
-    malformed line, a file cut short or a trailing line raises ValueError."""
-    with closing(numbered_lines(path)) as lines:
-        _, header = next(lines, (1, None))
-        if header is None:
-            raise ValueError(f"{path}: empty model file")
-        try:
-            v, d = map(int, header.split())
-        except ValueError:
-            raise ValueError(f"{path}:1: malformed header {header!r}, "
-                             "expected 'V D'") from None
-        if v < 1 or d < 1:
-            raise ValueError(f"{path}:1: header {header!r} needs V >= 1 "
-                             "and D >= 1")
-
-        def take(what):
-            for numbered_line in lines:
-                return numbered_line
-            raise ValueError(f"{path}: file ends before {what}")
-
-        def read_rows(array, label, sentinel):
-            """Fill ``array``, then read ``sentinel``; returns the words."""
-            words = []
-            for i, row in enumerate(array, 1):
-                lineno, line = take(f"{label} row {i} of {len(array)}")
-                fields = line.rsplit(" ", d)
-                if len(fields) != d + 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad {label} row {fields[0]!r}")
-                try:
-                    row[:] = list(map(float, fields[1:]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {label} entry: "
-                                     f"{exc}") from None
-                if not np.isfinite(row).all():
-                    raise ValueError(
-                        f"{path}:{lineno}: non-finite {label} entry")
-                words.append(fields[0])
-            lineno, line = take(f"the {sentinel} sentinel")
-            if line != sentinel:
-                raise ValueError(f"{path}:{lineno}: missing {sentinel} "
-                                 "sentinel")
-            return words
-
-        inputs, nodes = np.empty((v, d)), np.empty((v - 1, d))
-        words = read_rows(inputs, "vector", "#nodes")
-        repeat = first_repeat(words)
-        if repeat is not None:  # vector row i is line i + 2, after the header
-            raise ValueError(f"{path}:{repeat + 2}: word {words[repeat]!r} "
-                             "appears twice")
-        read_rows(nodes, "node", "#counts")
-        counts = []
-        for i, vector_word in enumerate(words, 1):
-            lineno, line = take(f"count row {i} of {v}")
-            word, _, count_field = line.rpartition(" ")
-            try:
-                count = int(count_field)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad count {count_field!r}") from None
-            if word != vector_word:
-                raise ValueError(f"{path}:{lineno}: #counts word {word!r} "
-                                 f"differs from vector word {vector_word!r}")
-            if count < 1:
-                raise ValueError(f"{path}:{lineno}: count {count} is below 1")
-            counts.append(count)
-        extra = next(lines, None)
-        if extra is not None:
-            raise ValueError(f"{path}:{extra[0]}: line after the last "
-                             "count row")
-
-    vocab = Vocabulary(words=tuple(words), counts=tuple(counts),
-                       total_tokens=sum(counts), max_size=v)
-    config = TrainingConfig(dim=d)
-    return EmbeddingModel(inputs, nodes, vocab, config)

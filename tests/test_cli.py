@@ -1,12 +1,13 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from metovec.cli import CONFIG_ENV_VAR, load_config, main
 from metovec.corpus import load_corpus
-from metovec.embeddings import load_model, save_model
+from metovec.embeddings import TrainingConfig, load_model, save_model
 from metovec.metonymy import DEFAULT_VERBS, MetonymyTarget
 from metovec.ranking import (NOT_IN_VOCAB, RankingTable, ScoredCandidate,
                              label_for, score_candidate, write_table)
@@ -199,6 +200,22 @@ def test_cmd_train_deterministic(tmp_path, chapter_corpus):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cmd_train_stops_at_non_finite_loss(tmp_path):
+    """Too high a learning rate ends training at its first overflowed
+    epoch, with an error naming the rate, and writes no model."""
+    corpus, cfg = tmp_path / "proverb.txt", tmp_path / "cfg.json"
+    corpus.write_text(PROVERB * 10)
+    cfg.write_text(json.dumps({"lr_start": 10}))
+    model = tmp_path / "m.model"
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(cfg), "train", "--corpus", str(corpus),
+              "--format", "plain", "--mode", "skipgram",
+              "--output", str(model)])
+    assert str(exit_.value) == ("error: skipgram epoch 1: loss is not "
+                                "finite; lr_start 10 is too high")
+    assert not model.exists()
+
+
 def test_cmd_train_bad_mode(tmp_path, chapter_corpus):
     with pytest.raises(SystemExit):
         main(["train", "--corpus", str(chapter_corpus), "--mode", "glove",
@@ -235,14 +252,20 @@ def test_cmd_query_oov_message(trained_model, subcommand, words):
 
 
 def test_cmd_query_repeated_word(tmp_path, capsys):
-    """A model with two 'a' rows stops the query at one located error
+    """A model with two 'a' words stops the query at one located error
     line, before any neighbour is printed."""
-    path = tmp_path / "model.txt"
-    path.write_text("2 1\na 1.0\na 2.0\n#nodes\nn0 0.5\n#counts\n"
-                    "a 3\na 1\n")
+    config = asdict(TrainingConfig(dim=1)) | {"total_tokens": 4,
+                                              "max_size": 2}
+    path = tmp_path / "model"
+    with open(path, "wb") as out:
+        np.savez(out, inputs=np.array([[1.0], [2.0]]),
+                 nodes=np.array([[0.5]]), counts=np.array([3, 1]),
+                 words=np.frombuffer(b"a\na", dtype=np.uint8),
+                 config=np.frombuffer(json.dumps(config).encode(),
+                                      dtype=np.uint8))
     with pytest.raises(SystemExit) as exit_:
         main(["query", "neighbors", "--model", str(path), "a"])
-    assert str(exit_.value) == f"error: {path}:3: word 'a' appears twice"
+    assert str(exit_.value) == f"error: {path}: word 'a' appears twice"
     assert capsys.readouterr().out == ""
 
 
@@ -263,6 +286,14 @@ def test_cmd_targets(chapter_corpus, capsys):
     main(["targets", "--corpus", str(chapter_corpus)])
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["doc1\t0\tbegin\tchapter"]
+
+
+def test_cmd_query_k_below_one(trained_model, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", "neighbors", "--model", str(trained_model), "-k", "0",
+              "chapter"])
+    assert str(exit_.value) == "error: -k must be >= 1, got 0"
+    assert capsys.readouterr().out == ""
 
 
 def test_cmd_paraphrase(tmp_path, chapter_corpus, trained_model):
@@ -448,23 +479,20 @@ def test_cmd_eval_missing_gold_column(tmp_path):
         main(["eval", "--fixture", str(fixture)])
 
 
-@pytest.mark.parametrize("kind", ["vertical", "plain", "model", "fixture",
+@pytest.mark.parametrize("kind", ["vertical", "plain", "fixture",
                                   "gold-targets"])
 def test_non_utf8_input_is_located(tmp_path, chapter_corpus, trained_model,
                                    kind):
-    """A byte 0xe9 (Latin-1 "é") on line 3 of each kind of input file."""
+    """A byte 0xe9 (Latin-1 "é") on line 3 of each kind of input file
+    read by lines; a model archive has none."""
     bad = tmp_path / "bad.txt"
     corpus, model = str(chapter_corpus), str(trained_model)
     vocab = str(tmp_path / "vocab.tsv")
-    text_model = tmp_path / "text.model"  # the binary form has no lines
-    save_model(load_model(trained_model), text_model, text=True)
     source, argv = {
         "vertical": (chapter_corpus,
                      ["vocab", "--corpus", str(bad), "--output", vocab]),
         "plain": (None, ["vocab", "--corpus", str(bad), "--format", "plain",
                          "--output", vocab]),
-        "model": (text_model,
-                  ["query", "neighbors", "--model", str(bad), "chapter"]),
         "fixture": (None, ["eval", "--fixture", str(bad)]),
         "gold-targets": (None, ["paraphrase", "--corpus", corpus, "--model",
                                 model, "--gold-targets", str(bad),

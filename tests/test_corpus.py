@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
                             Vocabulary, build_vocabulary, load_corpus,
                             next_word_counts)
-from metovec.embeddings import load_model
 from metovec.evaluation import load_fixture
 from metovec.metonymy import load_gold_targets
 
@@ -268,12 +267,6 @@ def test_vertical_round_trip(leading_blanks, unmarked, documents):
     assert [(s.ref, s.tokens, s.lemmas, s.tags) for s in corpus] == expected
 
 
-def _model_fields(path):
-    model = load_model(path)
-    return (model.vocab.words, model.vocab.counts,
-            model.input_vectors.tolist(), model.node_vectors.tolist())
-
-
 BEGIN_THE_BOOK = Sentence(("They", "begin", "the", "book"),
                           ("they", "begin", "the", "book"),
                           ("PRON", "VERB", "DET", "NOUN"), "d", 0)
@@ -289,8 +282,6 @@ LF_INPUTS = {
     "fixture": ("#target\td\t0\tbegin\tbook\n\n"
                 "Read the book.\t0.9\tViable\t+\n"
                 "Burn the book.\tNIV\tNotInVocabulary\t-\n", load_fixture),
-    "model": ("2 1\na 0.5\nb -1.5\n#nodes\nn0 0.25\n#counts\na 2\nb 1\n",
-              _model_fields),
 }
 
 

@@ -495,6 +495,19 @@ def test_train_records_each_epoch(tmp_path, caplog):
             for m, epoch in zip(epoch_lines, stats.epochs)] == [True] * 3
 
 
+def test_train_stops_at_non_finite_loss(tmp_path):
+    """Too high a learning rate overflows the vectors; training stops at
+    the first epoch whose loss is not finite, naming the rate."""
+    corpus = repeats_corpus(tmp_path / "repeats.txt", 4)
+    stats = TrainStats()
+    with pytest.raises(ValueError) as err:
+        train(corpus, TrainingConfig(dim=8, epochs=3, lr_start=10),
+              stats=stats)
+    assert str(err.value) \
+        == "skipgram epoch 1: loss is not finite; lr_start 10 is too high"
+    assert len(stats.epochs) == 1
+
+
 @pytest.fixture
 def tiny_corpus(tmp_path):
     text = ("the quick fox jumps over the lazy dog\n"
@@ -522,15 +535,15 @@ def test_train_rejects_tiny_vocab(tmp_path):
 
 def test_save_load_round_trip(tiny_corpus, tmp_path):
     model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1, seed=2))
-    path = tmp_path / "model.txt"
-    save_model(model, path, text=True)
+    path = tmp_path / "model"
+    save_model(model, path)
     loaded = load_model(path)
     assert np.array_equal(model.input_vectors, loaded.input_vectors)
     assert np.array_equal(model.node_vectors, loaded.node_vectors)
     assert model.vocab.words == loaded.vocab.words
     assert model.tree.codes == loaded.tree.codes
-    path2 = tmp_path / "model2.txt"
-    save_model(loaded, path2, text=True)
+    path2 = tmp_path / "model2"
+    save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -541,153 +554,37 @@ vertical_lemmas = st.text(
     min_size=1).map(str.lower)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(vertical_lemmas, min_size=1, max_size=8, unique=True),
-       st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_save_load_round_trip_any_lemmas(words, dim, seed):
-    rng = np.random.default_rng(seed)
-    model = make_model(
-        {w: rng.uniform(-1e3, 1e3, size=dim) for w in words},
-        {w: int(rng.integers(1, 10**6)) for w in words})
-    model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.txt"
-        save_model(model, path, text=True)
-        loaded = load_model(path)
-    assert loaded.vocab.words == model.vocab.words
-    assert loaded.vocab.counts == model.vocab.counts
-    assert np.array_equal(loaded.input_vectors, model.input_vectors)
-    assert np.array_equal(loaded.node_vectors, model.node_vectors)
-
-
 def test_save_load_multiword_lemmas(tmp_path):
     words = ["ice cream", " lead", "trail ", "a  b", "x"]
     model = make_model({w: [float(i), -0.5] for i, w in enumerate(words)})
-    path = tmp_path / "model.txt"
-    save_model(model, path, text=True)
+    path = tmp_path / "model"
+    save_model(model, path)
     loaded = load_model(path)
     assert loaded.vocab.words == tuple(words)
     assert np.array_equal(loaded.input_vectors, model.input_vectors)
-    path2 = tmp_path / "model2.txt"
-    save_model(loaded, path2, text=True)
+    path2 = tmp_path / "model2"
+    save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_model_header(tiny_corpus, tmp_path):
-    model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1))
-    path = tmp_path / "model.txt"
-    save_model(model, path, text=True)
-    header = path.read_text().splitlines()[0]
-    assert header == f"{len(model.vocab)} 5"
-
-
-def test_load_truncated_model(tiny_corpus, tmp_path):
-    model = train(tiny_corpus, TrainingConfig(dim=5, epochs=1))
-    path = tmp_path / "model.txt"
-    save_model(model, path, text=True)
-    lines = path.read_text().splitlines()
-    (tmp_path / "cut.txt").write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(ValueError):
-        load_model(tmp_path / "cut.txt")
-
-
-def test_load_malformed_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(ValueError):
-        load_model(path)
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_model(path)
-    for header, message in [
-            ("a b", "malformed header 'a b', expected 'V D'"),
-            ("3", "malformed header '3', expected 'V D'"),
-            ("-1 2", "header '-1 2' needs V >= 1 and D >= 1"),
-            ("3 0", "header '3 0' needs V >= 1 and D >= 1")]:
-        assert load_error(tmp_path, 1, header) == f"1: {message}"
-
-
-def load_error(tmp_path, lineno, row=None):
-    """The error of load_model on a saved 3-word, D=2 model whose line
-    ``lineno`` is replaced by ``row`` (appended when one past the end), or
-    which ends after line ``lineno`` when ``row`` is None.  Lines 2-4 are
-    vectors, 5 #nodes, 6-7 nodes, 8 #counts and 9-11 counts."""
-    model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]},
-                       {"a": 3, "b": 2, "c": 1})
-    path = tmp_path / "model.txt"
-    save_model(model, path, text=True)
-    lines = path.read_text().splitlines()
-    if row is None:
-        del lines[lineno:]
-    else:
-        lines[lineno - 1:lineno] = [row]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as err:
-        load_model(path)
-    return str(err.value).removeprefix(f"{path}:")
-
-
-@pytest.mark.parametrize("lineno, row, message", [
-    (10, "z 2", "#counts word 'z' differs from vector word 'b'"),
-    (11, "c 0", "count 0 is below 1"),
-    (9, "a x", "bad count 'x'")])
-def test_load_rejects_bad_count_row(tmp_path, lineno, row, message):
-    assert load_error(tmp_path, lineno, row) == f"{lineno}: {message}"
-
-
-@pytest.mark.parametrize("lineno, row, label", [
-    (3, "b 3.0 nan", "vector"), (4, "c inf 6.0", "vector"),
-    (7, "n1 0.0 -inf", "node")])
-def test_load_rejects_non_finite(tmp_path, lineno, row, label):
-    assert load_error(tmp_path, lineno, row) \
-        == f"{lineno}: non-finite {label} entry"
-
-
-@pytest.mark.parametrize("lineno, row, message", [
-    (3, "b 3.0 zz", "bad vector entry: could not convert string to float: "
-                    "'zz'"),
-    (6, "n0 zz 1.0", "bad node entry: could not convert string to float: "
-                     "'zz'"),
-    (4, "c 5.0", "bad vector row 'c'"),
-    (5, "#node", "missing #nodes sentinel"),
-    (8, "#count", "missing #counts sentinel"),
-    (12, "d 1", "line after the last count row"),
-    (12, "", "line after the last count row")],
-    ids=["vector-field", "node-field", "short-row", "nodes-sentinel",
-         "counts-sentinel", "trailing-row", "trailing-blank"])
-def test_load_rejects_bad_field(tmp_path, lineno, row, message):
-    assert load_error(tmp_path, lineno, row) == f"{lineno}: {message}"
-
-
-@pytest.mark.parametrize("last_line, missing", [
-    (1, "vector row 1 of 3"), (3, "vector row 3 of 3"),
-    (4, "the #nodes sentinel"), (6, "node row 2 of 2"),
-    (7, "the #counts sentinel"), (10, "count row 3 of 3")])
-def test_load_names_what_a_cut_file_misses(tmp_path, last_line, missing):
-    assert load_error(tmp_path, last_line) == f" file ends before {missing}"
-
-
 def test_load_model_peak_memory_near_its_arrays(tmp_path):
-    """Text: one pass parses each row into its array, so no list of lines
-    and no Python floats beyond one row are held.  Binary: each member is
-    read into its array, with no copy of the archive's bytes."""
+    """Each member is read into its array, with no copy of the archive's
+    bytes."""
     rng = np.random.default_rng(0)
     model = make_model({f"w{i}": row for i, row in
                         enumerate(rng.normal(size=(2000, 50)))})
     model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
-    for text in (True, False):
-        path = tmp_path / f"model-{text}"
-        save_model(model, path, text=text)
-        tracemalloc.start()
-        try:
-            loaded = load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded.node_vectors, model.node_vectors)
-        assert peak < 2 * (loaded.input_vectors.nbytes
-                           + loaded.node_vectors.nbytes), text
+    path = tmp_path / "model"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.node_vectors, model.node_vectors)
+    assert peak < 2 * (loaded.input_vectors.nbytes
+                       + loaded.node_vectors.nbytes)
 
 
 training_configs = st.builds(
@@ -823,20 +720,17 @@ def test_save_rejects_line_break_in_word(tmp_path):
     model = make_model({"a": [1.0], "b\nc": [2.0]})
     with pytest.raises(ValueError, match=r"cannot save word 'b\\nc'"):
         save_model(model, tmp_path / "model")
-    save_model(model, tmp_path / "model", text=True)  # the text form splits
 
 
-@pytest.mark.parametrize("text", [False, True], ids=["binary", "text"])
 @pytest.mark.parametrize("matrix, label", [("input_vectors", "vector"),
                                            ("node_vectors", "node")])
-def test_save_rejects_non_finite_entry(tmp_path, text, matrix, label):
-    """Neither reader takes a non-finite entry back, so no form is written;
-    training at too high a learning rate overflows to one."""
+def test_save_rejects_non_finite_entry(tmp_path, matrix, label):
+    """load_model takes no non-finite entry back, so none is written."""
     model = make_model({"a": [1.0, 2.0], "b": [3.0, 4.0]})
     getattr(model, matrix)[-1, 1] = np.inf
     path = tmp_path / "model"
     with pytest.raises(ValueError) as err:
-        save_model(model, path, text=text)
+        save_model(model, path)
     assert str(err.value) == f"cannot save non-finite {label} entry"
     assert not path.exists()
 
@@ -938,13 +832,6 @@ def test_load_rejects_bad_archive(tmp_path, changes, message):
     assert archive_error(tmp_path, **changes) == message
 
 
-def test_load_rejects_repeated_word_text(tmp_path):
-    """A word on two vector rows would map to one of them only; the error
-    gives the line of the second."""
-    assert load_error(tmp_path, 4, "a 5.0 6.0") \
-        == "4: word 'a' appears twice"
-
-
 def test_load_rejects_repeated_word_binary(tmp_path):
     assert archive_error(tmp_path, words=utf8("a\nb\na")) \
         == "word 'a' appears twice"
@@ -961,6 +848,19 @@ def test_load_rejects_compressed_archive(tmp_path):
         load_model(path)
     assert str(err.value) \
         == f"{path}: bad model archive: member inputs.npy is compressed"
+
+
+def test_load_rejects_non_archive(tmp_path):
+    """A model file is a zip archive; any other file, such as a text
+    model, fails with a located error."""
+    path = tmp_path / "model.txt"
+    for text in ("2 1\na 0.5\nb -1.5\n#nodes\nn0 0.25\n#counts\na 2\nb 1\n",
+                 ""):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) \
+            == f"{path}: bad model archive: File is not a zip file"
 
 
 def test_binary_load_gives_writable_arrays(tmp_path):
