@@ -16,20 +16,44 @@
  * ~1e-305, on paths of up to 117 nodes.  A Huffman path of d nodes needs
  * counts summing to at least F(d + 2), the Fibonacci number: int64
  * Fibonacci counts give paths of 91 nodes, and 118 nodes need a total
- * count of F(120) ~ 5.4e24, over 5.8e5 words at the int64 limit. */
+ * count of F(120) ~ 5.4e24, over 5.8e5 words at the int64 limit.
+ *
+ * The two entry points are built twice, as an AVX2 clone and a baseline
+ * clone, and the dynamic loader picks one when the library loads (an ELF
+ * ifunc, resolved from the running CPU).  So one cached library is valid
+ * on any CPU of its machine name, and the cache key needs no CPU flag.
+ * hs_step is always inlined, so each clone holds its own copy of it: out
+ * of line, it is built once, for the baseline, and both clones call that
+ * copy.  The clones give the same bits: with -ffp-contract=off and no
+ * fast-math the compiler neither fuses nor reorders an operation, the four
+ * lanes s0..s3 map lane for lane onto one 4-double vector, the other loops
+ * are elementwise, and both clones call the same exp and log.  CLONES is
+ * empty where ifunc is not known to work (not x86-64, not glibc, or a
+ * compiler without target_clones) and with -DMETOVEC_NO_CLONES, which the
+ * tests use to build the baseline step alone. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 #define CLAMP 6.0
 
+#if defined(__has_attribute) && defined(__x86_64__) && defined(__GLIBC__) \
+    && !defined(METOVEC_NO_CLONES)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
 /* one prediction of the word whose path is [lo, hi): updates the nodes,
  * sets grad to the gradient wrt hidden and counts the prediction, its node
  * updates and its loss */
-static void hs_step(const int32_t *path_nodes, const double *targets,
-                    int64_t lo, int64_t hi, double *nodes,
-                    const double *hidden, double *grad, int64_t dim,
-                    double lr, int64_t *counts, double *out)
+static inline __attribute__((always_inline))
+void hs_step(const int32_t *path_nodes, const double *targets, int64_t lo,
+             int64_t hi, double *nodes, const double *hidden, double *grad,
+             int64_t dim, double lr, int64_t *counts, double *out)
 {
     double prob = 1.0;
     int64_t lanes_end = dim - dim % 4;
@@ -65,6 +89,7 @@ static void hs_step(const int32_t *path_nodes, const double *targets,
 
 /* trains position f of the sentence ids[first, end) with up to window words
  * each side; work holds 2 * dim doubles.  Returns 0 when f is skipped. */
+CLONES
 int hs_example(const int32_t *ids, int64_t first, int64_t end, int64_t f,
                const int64_t *path_starts, const int32_t *path_nodes,
                const double *targets, double *inputs, double *nodes,
@@ -114,6 +139,7 @@ int hs_example(const int32_t *ids, int64_t first, int64_t end, int64_t f,
 
 /* one epoch, from token seen, over the sentences ids[starts[s], starts[s+1]);
  * lr falls linearly from lr_start at token 0 to lr_end at token total */
+CLONES
 void hs_epoch(const int32_t *ids, const int64_t *starts, int64_t n_sentences,
               const int64_t *path_starts, const int32_t *path_nodes,
               const double *targets, double *inputs, double *nodes,

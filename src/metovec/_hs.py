@@ -6,6 +6,12 @@ The library is compiled with the local ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/metovec`` (``~/.cache/metovec`` when that is unset), keyed
 by the source, the compiler command and the machine.  ``hashlib`` is not
 used for the key: importing it maps libcrypto into the process.
+
+On x86-64 with glibc the two entry points carry an AVX2 clone and a
+baseline clone, and the dynamic loader picks one by the CPU it runs on.
+``COMPILE`` names no CPU extension, so the library loads on any CPU of its
+machine name, and the key needs no CPU flag.  The clones round alike, bit
+for bit: see ``_hs.c``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ COARSE_TAGS = frozenset({
     "PREP", "CONJ", "NUM", "PUNCT", "OTHER",
 })
 
-_PUNCT_CHARS = set(string.punctuation)
-
 
 class CorpusFormatError(ValueError):
     """A malformed line of an input file, located by path and line number."""
@@ -116,8 +114,8 @@ def _read_plain(path):
             continue
         yield Sentence(
             tuple(words), tuple(w.lower() for w in words),
-            tuple("PUNCT" if all(c in _PUNCT_CHARS for c in w)
-                  else "OTHER" for w in words),
+            tuple("OTHER" if w.strip(string.punctuation) else "PUNCT"
+                  for w in words),
             doc_id, index)
         index += 1
 

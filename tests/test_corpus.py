@@ -1,8 +1,9 @@
+import string
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
                             Vocabulary, build_vocabulary, load_corpus,
@@ -44,6 +45,27 @@ def test_plain_punct_token(tmp_path):
     path.write_text("hello , world !\n")
     tags = list(load_corpus(path, "plain"))[0].tags
     assert tags == ("OTHER", "PUNCT", "OTHER", "PUNCT")
+
+
+# ASCII punctuation, letters, digits, and non-ASCII punctuation that the
+# plain reader does not count as punctuation
+plain_word = st.text(alphabet=st.sampled_from(
+    [*string.punctuation, *"aZ7é", "\u2014", "\u00ab", "\u00bb", "\u2026"]),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plain_word, min_size=1, max_size=6))
+@example(["\u2014", "\u00ab", "...", "\u00ab,\u00bb", "-"])
+def test_plain_punct_tag_is_all_ascii_punctuation(words):
+    """A plain word is PUNCT when every character is ASCII punctuation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        path.write_text(" ".join(words) + "\n", encoding="utf-8")
+        (sentence,) = load_corpus(path, "plain")
+    assert sentence.tags == tuple(
+        "PUNCT" if all(c in string.punctuation for c in w) else "OTHER"
+        for w in words)
 
 
 def test_empty_file(tmp_path):

@@ -468,10 +468,41 @@ def test_train_without_compiler_is_an_error(tmp_path, monkeypatch,
 def test_compile_rounds_as_written():
     """The step must round every operation as python_train does: no fused
     multiply-add, no fast-math reassociation, and no flag that ties the
-    library to the building machine's CPU beyond the machine name in the
-    cache key."""
+    library to the building machine's CPU.  The cache key names only the
+    machine (x86_64), so a library built with -mavx2 would load, and fail,
+    on a CPU of that name without AVX2; _hs.c gets its AVX2 step from a
+    clone that the loader picks by CPU instead."""
     assert "-ffp-contract=off" in _hs.COMPILE
-    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_hs.COMPILE)
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-mavx2"} \
+        & set(_hs.COMPILE)
+
+
+def test_baseline_build_matches(tmp_path, monkeypatch):
+    """The step built with -DMETOVEC_NO_CLONES, which has no AVX2 clone,
+    trains the same bits as the library train loads, in both modes and at
+    every dim % 4 tail.  On a CPU with AVX2 this is the one test that runs
+    the baseline step."""
+    corpus = repeats_corpus(tmp_path / "repeats.txt", 3)
+    # lr_start 1.0 makes any change in the order of a sum show
+    configs = [TrainingConfig(mode=mode, window=3, dim=dim, epochs=2,
+                              lr_start=1.0, seed=dim)
+               for mode in (CBOW, SKIPGRAM) for dim in range(2, 18)]
+    loaded = [train(corpus, config) for config in configs]
+    monkeypatch.setattr(_hs, "COMPILE", (*_hs.COMPILE, "-DMETOVEC_NO_CLONES"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _hs._load.cache_clear()
+    _hs._key.cache_clear()
+    try:
+        baseline = [train(corpus, config) for config in configs]
+        assert [p.name for p in (tmp_path / "cache" / "metovec").iterdir()] \
+            == [_hs.library_path().name]
+    finally:  # the next caller keys and loads the library of _hs.COMPILE
+        _hs._load.cache_clear()
+        _hs._key.cache_clear()
+    for config, model, other in zip(configs, loaded, baseline):
+        assert np.array_equal(model.input_vectors, other.input_vectors), \
+            config
+        assert np.array_equal(model.node_vectors, other.node_vectors), config
 
 
 def test_train_records_each_epoch(tmp_path, caplog):
