@@ -176,16 +176,23 @@ def cmd_paraphrase(args, config):
         targets = metonymy.load_gold_targets(config.gold_targets, index)
     else:
         targets = metonymy.find_targets(index, config.verb_specs())
+    # a verb lemma comes from the corpus: one holding a path separator
+    # would put its table outside the output directory
+    names = [f"{t.verb_lemma}-{n}.tsv" for n, t in enumerate(targets, 1)]
+    for name, t in zip(names, targets):
+        if os.path.basename(name) != name or "\0" in name:
+            raise ValueError(f"target {(*t.sentence_ref, t.verb_lemma)!r}: "
+                             f"table name {name!r} is not a plain file name")
     excluded = {spec.lemma for spec in config.verb_specs()}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for n, target in enumerate(targets, start=1):
+    for name, target in zip(names, targets):
         candidates = metonymy.harvest_candidates(
             index, target.np_head_lemma, excluded)
         table = ranking.rank(model, target, candidates,
                              config.discard_threshold,
                              config.viable_threshold)
-        path = outdir / f"{target.verb_lemma}-{n}.tsv"
+        path = outdir / name
         with open(path, "w", encoding="utf-8") as out:
             ranking.write_table(table, out)
         print(f"wrote {path} ({len(table.rows)} candidates)")

@@ -209,10 +209,9 @@ def _hs_forward(model, tree, hidden, target_id):
     -log leaf_probability with respect to score_j = hidden . node_j, i.e.
     sigma(score_j) - (1 - bit_j).
     """
-    path = list(tree.paths[target_id])
-    bits = np.array(tree.codes[target_id], dtype=float)
+    path = tree.paths[target_id]
     nodes = model.node_vectors[path]
-    residual = sigmoid(nodes @ hidden) - (1.0 - bits)
+    residual = sigmoid(nodes @ hidden) - (1.0 - tree.codes[target_id])
     return path, nodes, residual
 
 
@@ -301,18 +300,18 @@ def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
     if window < 1:
         raise ValueError("window must be >= 1")
     vocab_size = len(model.vocab)
-    if len(tree.codes) != vocab_size:
-        raise ValueError(f"tree of {len(tree.codes)} words, not {vocab_size}")
+    if len(tree.starts) - 1 != vocab_size:
+        raise ValueError(f"tree of {len(tree.starts) - 1} words, "
+                         f"not {vocab_size}")
     ids = np.array(sentence_ids, dtype=np.int64)
     if not 0 <= focus < len(ids):
         raise IndexError(f"focus {focus} outside a sentence of {len(ids)}")
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError(f"word id outside [0, {vocab_size})")
-    path_starts, path_nodes, targets = tree.flat_paths
     counts = np.zeros(4, dtype=np.int64)
     trained = _hs.library().hs_example(
-        ids.astype(np.int32), 0, len(ids), focus, path_starts, path_nodes,
-        targets, model.input_vectors, model.node_vectors,
+        ids.astype(np.int32), 0, len(ids), focus, tree.starts, tree.nodes,
+        tree.targets, model.input_vectors, model.node_vectors,
         np.empty(2 * model.config.dim), model.config.dim, window, cbow, lr,
         counts, np.zeros(2))
     if stats is not None:
@@ -363,14 +362,14 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
         raise ValueError("corpus has no in-vocabulary tokens")
 
     epoch_function = _hs.library().hs_epoch
-    path_starts, path_nodes, targets = model.tree.flat_paths
+    tree = model.tree
     work = np.empty(2 * config.dim)
     for epoch in range(1, config.epochs + 1):
         counts = np.zeros(4, dtype=np.int64)
         out = np.zeros(2)
         started = time.perf_counter()
-        epoch_function(ids, starts, len(encoded), path_starts, path_nodes,
-                       targets, model.input_vectors, model.node_vectors,
+        epoch_function(ids, starts, len(encoded), tree.starts, tree.nodes,
+                       tree.targets, model.input_vectors, model.node_vectors,
                        work, config.dim, config.window, config.mode == CBOW,
                        config.lr_start, config.lr_end,
                        (epoch - 1) * epoch_tokens, total_tokens, counts, out)

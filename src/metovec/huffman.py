@@ -9,44 +9,44 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HuffmanTree:
-    """Per-word prefix codes and root-to-leaf paths of internal node ids.
+    """Every word's root-to-leaf path, in the three read-only arrays the
+    trainer reads.
 
-    ``codes[w]`` is the bit sequence for word id ``w`` and ``paths[w]`` the
-    ids (0-based, ``n_internal`` of them in total) of the internal nodes
-    visited from the root.  ``len(codes[w]) == len(paths[w])`` always holds.
+    Word ``w``'s path spans ``starts[w]:starts[w + 1]`` (``int64``,
+    ``V + 1`` long).  Over it ``nodes`` holds the ``int32`` ids (0-based,
+    ``n_internal`` in all) of the internal nodes visited from the root and
+    ``targets`` the ``float64`` ``1 - bit`` of each bit of the word's code.
+    ``paths[w]`` and ``codes[w]`` are the word's spans of ``nodes`` and of
+    the ``int8`` code bits, built once per tree.  Compare trees by arrays.
     """
 
-    codes: tuple[tuple[int, ...], ...]
-    paths: tuple[tuple[int, ...], ...]
+    starts: np.ndarray
+    nodes: np.ndarray
+    targets: np.ndarray
 
     @cached_property
-    def flat_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every path in one array, as the trainer reads them:
-        ``(starts, nodes, targets)``.  Word ``w``'s path is
-        ``nodes[starts[w]:starts[w + 1]]`` (``int32`` node ids) and
-        ``targets`` over the same span holds ``1 - code bits`` as floats.
-        Built on first use and kept for the life of the tree."""
-        starts = np.zeros(len(self.paths) + 1, dtype=np.int64)
-        np.cumsum([len(path) for path in self.paths], out=starts[1:])
-        nodes = np.fromiter((n for path in self.paths for n in path),
-                            dtype=np.int32, count=starts[-1])
-        bits = np.fromiter((b for code in self.codes for b in code),
-                           dtype=float, count=starts[-1])
-        return starts, nodes, 1.0 - bits
+    def paths(self) -> list[np.ndarray]:
+        return np.split(self.nodes, self.starts[1:-1])
+
+    @cached_property
+    def codes(self) -> list[np.ndarray]:
+        bits = (1 - self.targets).astype(np.int8)
+        bits.flags.writeable = False
+        return np.split(bits, self.starts[1:-1])
 
     @property
     def n_internal(self) -> int:
-        return len(self.codes) - 1
+        return len(self.starts) - 2
 
     def mean_code_length(self, counts=None) -> float:
-        """Mean code length, frequency-weighted when ``counts`` is given."""
-        lengths = [len(c) for c in self.codes]
+        """Mean code length, frequency-weighted when ``counts`` is given;
+        summed in Python ints, as counts may reach 2**63."""
+        lengths = np.diff(self.starts).tolist()
         if counts is None:
             return sum(lengths) / len(lengths)
-        total = sum(counts)
-        return sum(l * c for l, c in zip(lengths, counts)) / total
+        return sum(l * c for l, c in zip(lengths, counts)) / sum(counts)
 
 
 def build_huffman_tree(vocab) -> HuffmanTree:
@@ -62,29 +62,30 @@ def build_huffman_tree(vocab) -> HuffmanTree:
     # heap entries: (count, node_id); node ids < n are leaves
     heap = [(count, idx) for idx, count in enumerate(vocab.counts)]
     heapq.heapify(heap)
-    parent = {}
-    branch = {}
-    next_id = n
-    while len(heap) > 1:
+    root = 2 * n - 2
+    parent = [0] * root
+    target = [1.0] * root  # 1 - the branch bit into each node
+    for node in range(n, root + 1):
         c0, left = heapq.heappop(heap)
         c1, right = heapq.heappop(heap)
-        parent[left] = parent[right] = next_id
-        branch[left] = 0
-        branch[right] = 1
-        heapq.heappush(heap, (c0 + c1, next_id))
-        next_id += 1
-    codes = []
-    paths = []
-    for leaf in range(n):
-        code = []
-        path = []
+        parent[left] = parent[right] = node
+        target[right] = 0.0
+        heapq.heappush(heap, (c0 + c1, node))
+    # a node's id is below its parent's, so depths fill from the root down
+    depth = [0] * (root + 1)
+    for node in range(root - 1, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(depth[:n], out=starts[1:])
+    nodes = [0] * int(starts[-1])
+    targets = [0.0] * int(starts[-1])
+    for leaf, end in enumerate(starts[1:].tolist()):
         node = leaf
-        while node in parent:
-            code.append(branch[node])
-            path.append(parent[node] - n)
+        while node != root:  # the path, written backwards from its end
+            end -= 1
+            nodes[end], targets[end] = parent[node] - n, target[node]
             node = parent[node]
-        code.reverse()
-        path.reverse()
-        codes.append(tuple(code))
-        paths.append(tuple(path))
-    return HuffmanTree(codes=tuple(codes), paths=tuple(paths))
+    arrays = (starts, np.array(nodes, dtype=np.int32), np.array(targets))
+    for array in arrays:
+        array.flags.writeable = False
+    return HuffmanTree(*arrays)

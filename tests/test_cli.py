@@ -319,6 +319,27 @@ def test_cmd_paraphrase_gold_targets(tmp_path, chapter_corpus,
     assert len(list(outdir.glob("*.tsv"))) == 1
 
 
+def test_cmd_paraphrase_keeps_tables_in_output_dir(tmp_path, trained_model):
+    """A verb lemma read from the corpus names its table: one that is not a
+    plain file name is refused before any table is written."""
+    corpus = write_vertical(tmp_path / "escape.vert", [
+        CHAPTER_SENTENCES[0],
+        [("We", "we", "PRON"), ("escaped", "../escaped", "VERB"),
+         ("the", "the", "DET"), ("chapter", "chapter", "NOUN")]])
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("doc1\t0\tbegin\tchapter\n"
+                    "doc1\t1\t../escaped\tchapter\n")
+    outdir = tmp_path / "out" / "sub"
+    with pytest.raises(SystemExit) as exit_:
+        main(["paraphrase", "--corpus", str(corpus), "--model",
+              str(trained_model), "--gold-targets", str(gold),
+              "--output-dir", str(outdir)])
+    assert str(exit_.value) == (
+        "error: target ('doc1', 1, '../escaped'): table name "
+        "'../escaped-2.tsv' is not a plain file name")
+    assert not (tmp_path / "out").exists()
+
+
 def tagged(text):
     """'word/lemma/POS ...' -> (surface, lemma, pos) triples."""
     return [tuple(item.split("/")) for item in text.split()]

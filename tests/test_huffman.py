@@ -1,9 +1,12 @@
 import functools
+import heapq
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import Vocabulary
 from metovec.huffman import build_huffman_tree
@@ -17,6 +20,12 @@ def vocab_from_counts(counts: dict) -> Vocabulary:
         total_tokens=sum(counts.values()),
         max_size=len(counts),
     )
+
+
+def same_tree(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in ((a.starts, b.starts),
+                                                 (a.nodes, b.nodes),
+                                                 (a.targets, b.targets)))
 
 
 @functools.cache
@@ -67,7 +76,7 @@ def test_codes_prefix_free():
     counts = {f"w{i}": i + 1 for i in range(9)}
     tree = build_huffman_tree(vocab_from_counts(counts))
     for a, b in itertools.permutations(tree.codes, 2):
-        assert a[:len(b)] != b
+        assert not np.array_equal(a[:len(b)], b)
 
 
 def test_paths_match_codes():
@@ -97,7 +106,7 @@ def test_deterministic():
     counts = {f"w{i}": 2 for i in range(12)}
     a = build_huffman_tree(vocab_from_counts(counts))
     b = build_huffman_tree(vocab_from_counts(counts))
-    assert a.codes == b.codes and a.paths == b.paths
+    assert same_tree(a, b)
 
 
 def test_weighted_mean_code_length():
@@ -105,3 +114,48 @@ def test_weighted_mean_code_length():
     tree = build_huffman_tree(vocab)
     # (4*1 + 2*2 + 1*3 + 1*3) / 8
     assert tree.mean_code_length(vocab.counts) == pytest.approx(14 / 8)
+
+
+def reference_tree(counts):
+    """The reference builder: the same heap and tie rule as
+    ``build_huffman_tree``, then a walk from each leaf up through parent
+    and branch dicts, giving ``(codes, paths)`` as tuples of tuples."""
+    n = len(counts)
+    heap = [(count, idx) for idx, count in enumerate(counts)]
+    heapq.heapify(heap)
+    parent, branch, next_id = {}, {}, n
+    while len(heap) > 1:
+        c0, left = heapq.heappop(heap)
+        c1, right = heapq.heappop(heap)
+        parent[left] = parent[right] = next_id
+        branch[left], branch[right] = 0, 1
+        heapq.heappush(heap, (c0 + c1, next_id))
+        next_id += 1
+    codes, paths = [], []
+    for leaf in range(n):
+        code, path, node = [], [], leaf
+        while node in parent:
+            code.append(branch[node])
+            path.append(parent[node] - n)
+            node = parent[node]
+        codes.append(tuple(reversed(code)))
+        paths.append(tuple(reversed(path)))
+    return tuple(codes), tuple(paths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=60))
+def test_matches_reference_builder(counts):
+    """Counts of 1-5 over up to 60 words tie often, so the tie rule shows."""
+    vocab = vocab_from_counts({f"w{i}": c for i, c in enumerate(counts)})
+    tree = build_huffman_tree(vocab)
+    codes, paths = reference_tree(vocab.counts)
+    assert tree.starts.dtype == np.int64 and tree.nodes.dtype == np.int32
+    assert tree.targets.dtype == np.float64
+    assert np.array_equal(tree.starts,
+                          [0, *itertools.accumulate(map(len, codes))])
+    assert np.array_equal(tree.nodes, [n for path in paths for n in path])
+    assert np.array_equal(tree.targets, [1 - b for code in codes for b in code])
+    for w, (start, end) in enumerate(itertools.pairwise(tree.starts)):
+        assert np.array_equal(tree.paths[w], tree.nodes[start:end])
+        assert np.array_equal(tree.codes[w], 1 - tree.targets[start:end])
