@@ -1,7 +1,6 @@
 """metovec: word embeddings with hierarchical softmax and paraphrase
 ranking for verbal metonymy ("begin the book" -> "read the book")."""
 
-from . import _memory
 from .corpus import (CorpusFormatError, NextWordCounts, Sentence, Vocabulary,
                      build_vocabulary, load_corpus, next_word_counts)
 from .embeddings import (CBOW, SKIPGRAM, EmbeddingModel, EpochStats,
@@ -22,8 +21,6 @@ from .ranking import (DISCARD_THRESHOLD, VIABLE_THRESHOLD, RankingTable,
 from .vectorspace import (PhraseVector, analogy, confidence, cosine_scores,
                           cosine_similarity, nearest_neighbours,
                           phrase_vector)
-
-_memory.steady()
 
 __version__ = "0.1.0"
 

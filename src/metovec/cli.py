@@ -168,6 +168,10 @@ def cmd_targets(args, config):
     print(f"# {len(targets)} targets", file=sys.stderr)
 
 
+# the longest file name, in bytes, that common file systems take
+NAME_MAX = 255
+
+
 def cmd_paraphrase(args, config):
     corp = _load(config.test_corpus, config.corpus_format)
     model = load_model(args.model)
@@ -177,12 +181,20 @@ def cmd_paraphrase(args, config):
     else:
         targets = metonymy.find_targets(index, config.verb_specs())
     # a verb lemma comes from the corpus: one holding a path separator
-    # would put its table outside the output directory
+    # would put its table outside the output directory, and one too long
+    # for a file name would fail after the earlier tables are written.
+    # The output directory may not exist yet, so the length limit is
+    # NAME_MAX, not os.pathconf's figure for it
     names = [f"{t.verb_lemma}-{n}.tsv" for n, t in enumerate(targets, 1)]
     for name, t in zip(names, targets):
         if os.path.basename(name) != name or "\0" in name:
-            raise ValueError(f"target {(*t.sentence_ref, t.verb_lemma)!r}: "
-                             f"table name {name!r} is not a plain file name")
+            problem = "is not a plain file name"
+        elif len(os.fsencode(name)) > NAME_MAX:
+            problem = f"is longer than {NAME_MAX} bytes"
+        else:
+            continue
+        raise ValueError(f"target {(*t.sentence_ref, t.verb_lemma)!r}: "
+                         f"table name {name!r} {problem}")
     excluded = {spec.lemma for spec in config.verb_specs()}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

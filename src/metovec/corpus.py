@@ -25,12 +25,13 @@ class CorpusFormatError(ValueError):
 
 def numbered_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
-    counting from 1, its end removed.  LF, CR and CRLF each end a line, as
-    in text mode, and no other character does.  A byte that does not decode
-    raises ``path:line: not UTF-8: ...``; to find its line, the file is
-    read again in binary and split at the same three ends."""
+    counting from 1, its end removed.  A leading byte order mark is skipped.
+    LF, CR and CRLF each end a line, as in text mode, and no other character
+    does.  A byte that does not decode raises ``path:line: not UTF-8: ...``;
+    to find its line, the file is read again in binary and split at the
+    same three ends."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, 1):
                 yield lineno, line.rstrip("\n")
     except UnicodeDecodeError:

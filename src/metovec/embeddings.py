@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import math
+import mmap
 import struct
 import sys
 import time
@@ -113,6 +114,14 @@ def is_json_type(value, expected) -> bool:
 _MEMBER_DTYPES = {name: np.dtype(kind) for name, kind in (
     ("inputs", "float64"), ("nodes", "float64"), ("counts", "int64"),
     ("words", "uint8"), ("config", "uint8"))}
+# A member this large, such as a V=10k, D=100 vector matrix, gets an
+# anonymous mapping of its own, which goes back to the kernel when the array
+# is freed.  On glibc's heap, once a freed block has raised its mmap
+# threshold, it could stay resident after its free, depending on the order
+# of earlier frees.  The mapping is advised for huge pages, as numpy advises
+# its own arrays of 4 MiB or more.
+_OWN_MAPPING_BYTES = 4 << 20
+_MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # Linux only
 # the archive's config JSON: the TrainingConfig fields plus the Vocabulary
 # fields that no array holds, each with the type of its value
 _VOCABULARY_KEYS = ("total_tokens", "max_size")
@@ -517,7 +526,13 @@ def _read_member(archive, handle, name) -> np.ndarray:
     handle.seek(info.header_offset + 26)
     name_size, extra_size = struct.unpack("<HH", handle.read(4))
     handle.seek(info.header_offset + 30 + name_size + extra_size)
-    member = np.empty(info.file_size, dtype=np.uint8)
+    if info.file_size >= _OWN_MAPPING_BYTES:
+        buffer = mmap.mmap(-1, info.file_size, flags=mmap.MAP_PRIVATE)
+        if _MADV_HUGEPAGE is not None:
+            buffer.madvise(_MADV_HUGEPAGE)
+        member = np.frombuffer(buffer, np.uint8)
+    else:
+        member = np.empty(info.file_size, dtype=np.uint8)
     if handle.readinto(member) != info.file_size:
         raise EOFError(f"member {name} ends early")
     if zlib.crc32(member) != info.CRC:

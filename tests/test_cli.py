@@ -319,24 +319,30 @@ def test_cmd_paraphrase_gold_targets(tmp_path, chapter_corpus,
     assert len(list(outdir.glob("*.tsv"))) == 1
 
 
-def test_cmd_paraphrase_keeps_tables_in_output_dir(tmp_path, trained_model):
+@pytest.mark.parametrize("lemma, problem", [
+    ("../escaped", "is not a plain file name"),
+    ("v" * 300, "is longer than 255 bytes"),
+], ids=["separator", "too-long"])
+def test_cmd_paraphrase_keeps_tables_in_output_dir(tmp_path, trained_model,
+                                                   lemma, problem):
     """A verb lemma read from the corpus names its table: one that is not a
-    plain file name is refused before any table is written."""
+    plain file name, or too long for one, is refused before any table is
+    written."""
     corpus = write_vertical(tmp_path / "escape.vert", [
         CHAPTER_SENTENCES[0],
-        [("We", "we", "PRON"), ("escaped", "../escaped", "VERB"),
+        [("We", "we", "PRON"), ("escaped", lemma, "VERB"),
          ("the", "the", "DET"), ("chapter", "chapter", "NOUN")]])
     gold = tmp_path / "gold.tsv"
     gold.write_text("doc1\t0\tbegin\tchapter\n"
-                    "doc1\t1\t../escaped\tchapter\n")
+                    f"doc1\t1\t{lemma}\tchapter\n")
     outdir = tmp_path / "out" / "sub"
     with pytest.raises(SystemExit) as exit_:
         main(["paraphrase", "--corpus", str(corpus), "--model",
               str(trained_model), "--gold-targets", str(gold),
               "--output-dir", str(outdir)])
     assert str(exit_.value) == (
-        "error: target ('doc1', 1, '../escaped'): table name "
-        "'../escaped-2.tsv' is not a plain file name")
+        f"error: target ('doc1', 1, {lemma!r}): table name "
+        f"'{lemma}-2.tsv' {problem}")
     assert not (tmp_path / "out").exists()
 
 

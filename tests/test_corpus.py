@@ -319,6 +319,18 @@ def test_every_reader_ends_lines_alike(tmp_path, kind, end):
     assert read(path) == expected
 
 
+@pytest.mark.parametrize("kind", LF_INPUTS)
+def test_every_reader_skips_a_leading_bom(tmp_path, kind):
+    """A UTF-8 byte order mark, as some editors write, is not part of the
+    first line."""
+    text, read = LF_INPUTS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode())
+    expected = read(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert read(path) == expected
+
+
 def test_lone_cr_ends_a_fixture_row(tmp_path):
     path = tmp_path / "cr.tsv"
     path.write_bytes(b"#target\td\t0\tbegin\tbook\n"

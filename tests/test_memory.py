@@ -1,4 +1,3 @@
-import ctypes
 import os
 import subprocess
 import sys
@@ -8,51 +7,67 @@ import pytest
 
 import metovec
 
+from conftest import make_model
+
 SOURCE = str(Path(metovec.__file__).resolve().parent.parent)
 
-# allocates and frees a 16 MB array three times and prints the most any
-# round left the resident size above where that round started
+# runs the imports and the set-up, then makes and frees a block three times
+# and prints the most any round left the resident size above where that
+# round started
 PROBE = """
 import numpy as np
-import metovec
+{imports}
 
 def resident():
     with open("/proc/self/statm") as statm:
         return int(statm.read().split()[1]) * 4096
 
+{setup}
 grown = []
 for _ in range(3):
     before = resident()
-    block = np.ones(2_000_000)
+    block = {block}
     del block
     grown.append(resident() - before)
 print(max(grown))
 """
 
-pytestmark = pytest.mark.skipif(
-    not (os.path.exists("/proc/self/statm")
-         and hasattr(ctypes.CDLL(None), "mallopt")),
-    reason="needs /proc and a C library with mallopt")
+# a 16 MB array
+ARRAY = "np.ones(2_000_000)"
+
+pytestmark = pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                                reason="needs /proc")
 
 
-def kept_after_free(**env):
+def kept_after_free(imports, block, setup=""):
+    """The probe's figure in a fresh process, with the allocator's own
+    settings from the environment left out."""
     environ = {key: value for key, value in os.environ.items()
                if not key.startswith("MALLOC_")}
     environ["PYTHONPATH"] = os.pathsep.join(
         [SOURCE, *filter(None, [os.environ.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, "-c", PROBE], env=environ | env,
+    probe = PROBE.format(imports=imports, setup=setup, block=block)
+    done = subprocess.run([sys.executable, "-c", probe], env=environ,
                           capture_output=True, text=True, check=True)
     return int(done.stdout)
 
 
-def test_freed_arrays_leave_no_resident_memory():
-    """glibc's moving mmap threshold would serve the second 16 MB block
-    from the heap and keep it resident after the free."""
-    assert kept_after_free() < 1 << 20
+def test_importing_metovec_leaves_the_allocator_alone():
+    """Importing the package sets no process-wide allocator state: freed
+    arrays stay resident, or not, as they do with numpy alone (with glibc,
+    its moving mmap threshold keeps the second 16 MB array on the heap)."""
+    alone = kept_after_free("", ARRAY)
+    assert abs(kept_after_free("import metovec", ARRAY) - alone) < 1 << 20
 
 
-def test_allocator_settings_from_the_environment_win():
-    # a 32 MiB mmap threshold puts the block on the heap, and a 64 MiB trim
-    # threshold keeps it there once freed
-    assert kept_after_free(MALLOC_MMAP_THRESHOLD_=str(32 << 20),
-                           MALLOC_TRIM_THRESHOLD_=str(64 << 20)) > 8 << 20
+def test_a_freed_model_leaves_no_resident_memory(tmp_path):
+    """A loaded model's 8 MB matrices live in mappings of their own, so a
+    freed model leaves nothing resident, even after a freed 16 MB array
+    has moved glibc's mmap threshold above their size.  A first load, in
+    the set-up, leaves the imports and caches it needs."""
+    path = tmp_path / "big.model"
+    metovec.save_model(make_model({f"w{i}": [0.5] * 100
+                                   for i in range(10_000)}), path)
+    load = f"metovec.load_model({str(path)!r})"
+    assert kept_after_free("import metovec", load,
+                           setup=f"{load}\n{ARRAY}") < 1 << 20
