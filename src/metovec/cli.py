@@ -30,8 +30,8 @@ class PipelineConfig:
     test_corpus: str | None = None
     corpus_format: str = "vertical"
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    discard_threshold: float = 0.2
-    viable_threshold: float = 0.5
+    discard_threshold: float = ranking.DISCARD_THRESHOLD
+    viable_threshold: float = ranking.VIABLE_THRESHOLD
     gold_targets: str | None = None
     output_dir: str = "."
     verbs: list = field(default_factory=lambda: [
@@ -39,6 +39,8 @@ class PipelineConfig:
         for spec in metonymy.DEFAULT_VERBS])
 
     def __post_init__(self):
+        if self.corpus_format not in FORMATS:
+            raise ValueError(f"unknown corpus format {self.corpus_format!r}")
         if not 0 <= self.discard_threshold < self.viable_threshold <= 1:
             raise ValueError("need 0 <= discard < viable <= 1")
 
@@ -168,10 +170,6 @@ def cmd_targets(args, config):
     print(f"# {len(targets)} targets", file=sys.stderr)
 
 
-# the longest file name, in bytes, that common file systems take
-NAME_MAX = 255
-
-
 def cmd_paraphrase(args, config):
     corp = _load(config.test_corpus, config.corpus_format)
     model = load_model(args.model)
@@ -180,31 +178,19 @@ def cmd_paraphrase(args, config):
         targets = metonymy.load_gold_targets(config.gold_targets, index)
     else:
         targets = metonymy.find_targets(index, config.verb_specs())
-    # a verb lemma comes from the corpus: one holding a path separator
-    # would put its table outside the output directory, and one too long
-    # for a file name would fail after the earlier tables are written.
-    # The output directory may not exist yet, so the length limit is
-    # NAME_MAX, not os.pathconf's figure for it
-    names = [f"{t.verb_lemma}-{n}.tsv" for n, t in enumerate(targets, 1)]
-    for name, t in zip(names, targets):
-        if os.path.basename(name) != name or "\0" in name:
-            problem = "is not a plain file name"
-        elif len(os.fsencode(name)) > NAME_MAX:
-            problem = f"is longer than {NAME_MAX} bytes"
-        else:
-            continue
-        raise ValueError(f"target {(*t.sentence_ref, t.verb_lemma)!r}: "
-                         f"table name {name!r} {problem}")
     excluded = {spec.lemma for spec in config.verb_specs()}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, target in zip(names, targets):
+    # a table's name is its target's position: a corpus lemma in it could
+    # leave the directory or be too long for a file name.  The #target
+    # header names the document, sentence, verb and head
+    for n, target in enumerate(targets, 1):
         candidates = metonymy.harvest_candidates(
             index, target.np_head_lemma, excluded)
         table = ranking.rank(model, target, candidates,
                              config.discard_threshold,
                              config.viable_threshold)
-        path = outdir / name
+        path = outdir / f"target-{n}.tsv"
         with open(path, "w", encoding="utf-8") as out:
             ranking.write_table(table, out)
         print(f"wrote {path} ({len(table.rows)} candidates)")

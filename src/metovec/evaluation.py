@@ -166,7 +166,9 @@ def load_fixture(path=None) -> Fixture:
     experiment's full result tables (41 targets, 179 rows).  Each table is
     a ``#target<TAB>doc<TAB>index<TAB>verb<TAB>np_head`` header followed by
     ``candidate<TAB>confidence_or_NIV<TAB>label<TAB>gold`` rows where gold
-    is "+" or "-".
+    is "+" or "-".  Blank lines are skipped, and so is a comment: a line
+    that starts with "#" and holds no tab, so a row whose candidate starts
+    with "#" is read.
     """
     if path is None:
         path = resources.files("metovec.data") / FIXTURE_RESOURCE
@@ -174,7 +176,7 @@ def load_fixture(path=None) -> Fixture:
     rows = []
     current = None
     for lineno, line in numbered_lines(path):
-        if not line.strip() or line.startswith("# "):
+        if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         fields = line.split("\t")
         if fields[0] == "#target":
@@ -191,8 +193,9 @@ def load_fixture(path=None) -> Fixture:
         if current is None:
             raise ValueError(f"{path}:{lineno}: row before any #target header")
         if len(fields) != 4:
-            raise ValueError(
-                f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            why = ": the gold column is missing" if len(fields) == 3 else ""
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got "
+                             f"{len(fields)}{why}")
         candidate, score_str, label, gold_str = fields
         if gold_str not in ("+", "-"):
             raise ValueError(f"{path}:{lineno}: bad gold label {gold_str!r}")

@@ -171,12 +171,14 @@ def harvest_candidates(corpus, np_head: str,
 def load_gold_targets(path, corpus) -> list[VerbObject]:
     """Parse a gold-target file: ``doc_id<TAB>index<TAB>verb<TAB>np_head``
     per line.  Each record must resolve to a (verb, NP) pair in ``corpus``,
-    a sequence of sentences or the VerbObjectIndex of one.
+    a sequence of sentences or the VerbObjectIndex of one.  Blank lines are
+    skipped, and so is a comment: a line that starts with "#" and holds no
+    tab, so a record whose document id starts with "#" is read.
     """
     by_ref = _as_index(corpus).by_ref
     targets = []
     for lineno, line in numbered_lines(path):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         fields = line.split("\t")
         if len(fields) != 4:

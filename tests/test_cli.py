@@ -75,10 +75,11 @@ def test_config_unknown_key(tmp_path, chapter_corpus):
     ('{"dim": 3,\n', "2:1: malformed JSON: Expecting property name "
                      "enclosed in double quotes"),
     ('{"dim": 3, "x": "\xff"}', " not UTF-8 at byte 17: invalid start byte"),
+    ('{"corpus_format": "xml"}', " bad config: unknown corpus format 'xml'"),
     *((json.dumps(values), " " + message)
       for values, message in BAD_CONFIG_RANGES.values())],
     ids=["wrong-type", "not-an-object", "malformed", "not-utf8",
-         *BAD_CONFIG_RANGES])
+         "unknown-format", *BAD_CONFIG_RANGES])
 def test_config_bad_file(tmp_path, chapter_corpus, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text.encode("latin-1"))
@@ -319,15 +320,13 @@ def test_cmd_paraphrase_gold_targets(tmp_path, chapter_corpus,
     assert len(list(outdir.glob("*.tsv"))) == 1
 
 
-@pytest.mark.parametrize("lemma, problem", [
-    ("../escaped", "is not a plain file name"),
-    ("v" * 300, "is longer than 255 bytes"),
-], ids=["separator", "too-long"])
+@pytest.mark.parametrize("lemma", ["../escaped", "v" * 300],
+                         ids=["separator", "too-long"])
 def test_cmd_paraphrase_keeps_tables_in_output_dir(tmp_path, trained_model,
-                                                   lemma, problem):
-    """A verb lemma read from the corpus names its table: one that is not a
-    plain file name, or too long for one, is refused before any table is
-    written."""
+                                                   capsys, lemma):
+    """A table is named by its target's position, not by a verb lemma read
+    from the corpus: a lemma that is not a plain file name, or is too long
+    for one, still has its table written inside the output directory."""
     corpus = write_vertical(tmp_path / "escape.vert", [
         CHAPTER_SENTENCES[0],
         [("We", "we", "PRON"), ("escaped", lemma, "VERB"),
@@ -335,15 +334,18 @@ def test_cmd_paraphrase_keeps_tables_in_output_dir(tmp_path, trained_model,
     gold = tmp_path / "gold.tsv"
     gold.write_text("doc1\t0\tbegin\tchapter\n"
                     f"doc1\t1\t{lemma}\tchapter\n")
+    before = set(tmp_path.rglob("*"))
     outdir = tmp_path / "out" / "sub"
-    with pytest.raises(SystemExit) as exit_:
-        main(["paraphrase", "--corpus", str(corpus), "--model",
-              str(trained_model), "--gold-targets", str(gold),
-              "--output-dir", str(outdir)])
-    assert str(exit_.value) == (
-        f"error: target ('doc1', 1, {lemma!r}): table name "
-        f"'{lemma}-2.tsv' {problem}")
-    assert not (tmp_path / "out").exists()
+    assert main(["paraphrase", "--corpus", str(corpus), "--model",
+                 str(trained_model), "--gold-targets", str(gold),
+                 "--output-dir", str(outdir)]) == 0
+    tables = [outdir / "target-1.tsv", outdir / "target-2.tsv"]
+    assert set(tmp_path.rglob("*")) - before \
+        == {tmp_path / "out", outdir, *tables}
+    assert tables[1].read_text().startswith(
+        f"#target\tdoc1\t1\t{lemma}\tchapter\n")
+    assert capsys.readouterr().out.splitlines() \
+        == [f"wrote {table} (1 candidates)" for table in tables]
 
 
 def tagged(text):
@@ -411,7 +413,7 @@ def reference_tables(corpus, model, targets):
             row.candidate.verb_lemma))
         out = io.StringIO()
         write_table(RankingTable(target, tuple(rows)), out)
-        tables[f"{target.verb_lemma}-{n}.tsv"] = out.getvalue().encode()
+        tables[f"target-{n}.tsv"] = out.getvalue().encode()
     return tables
 
 
@@ -460,6 +462,26 @@ def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
     assert written_tables(outdir) == expected
 
 
+def test_targets_read_back_as_gold_targets(tmp_path, trained_model, capsys):
+    """What `targets` prints, `paraphrase --gold-targets` reads, also when a
+    document id starts with "#"; the tables are those of the found
+    targets."""
+    corpus = write_vertical(tmp_path / "c.vert", CHAPTER_SENTENCES,
+                            doc_id="#x")
+    main(["targets", "--corpus", str(corpus)])
+    printed = capsys.readouterr().out
+    assert printed == "#x\t0\tbegin\tchapter\n"
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(printed)
+    argv = ["paraphrase", "--corpus", str(corpus), "--model",
+            str(trained_model), "--output-dir"]
+    main([*argv, str(tmp_path / "found")])
+    main([*argv, str(tmp_path / "gold"), "--gold-targets", str(gold)])
+    found = written_tables(tmp_path / "found")
+    assert list(found) == ["target-1.tsv"]
+    assert written_tables(tmp_path / "gold") == found
+
+
 def test_cmd_eval_shipped_fixture(capsys):
     main(["eval", "--unscored", "true-negative"])
     out = capsys.readouterr().out
@@ -502,8 +524,10 @@ def test_cmd_eval_missing_gold_column(tmp_path):
     fixture = tmp_path / "bad.tsv"
     fixture.write_text("#target\td\t0\tbegin\tbook\n"
                        "Read the book.\t0.9\tViable\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_:
         main(["eval", "--fixture", str(fixture)])
+    assert str(exit_.value) == (f"error: {fixture}:2: expected 4 fields, "
+                                "got 3: the gold column is missing")
 
 
 @pytest.mark.parametrize("kind", ["vertical", "plain", "fixture",

@@ -1,10 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from metovec.evaluation import (ConfusionMatrix, UndefinedMetricError,
-                                confusion, load_fixture, phi_coefficient,
-                                pr_curve, precision, recall)
-from metovec.ranking import NOT_IN_VOCAB, REJECTED, VIABLE
+from metovec.evaluation import (ConfusionMatrix, FixtureRow, FixtureTarget,
+                                UndefinedMetricError, confusion, load_fixture,
+                                phi_coefficient, pr_curve, precision, recall)
+from metovec.metonymy import VerbObject
+from metovec.ranking import (DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE,
+                             RankingTable, ScoredCandidate, write_table)
 
 counts = st.integers(min_value=0, max_value=500)
 
@@ -217,3 +222,66 @@ def test_fixture_unknown_label(tmp_path):
     with pytest.raises(ValueError) as err:
         load_fixture(bad)
     assert str(err.value) == f"{bad}:3: unknown label 'Viabel'"
+
+
+def write_tables(path, tables, gold):
+    with open(path, "w", encoding="utf-8") as out:
+        for table, table_gold in zip(tables, gold, strict=True):
+            write_table(table, out, gold=table_gold)
+
+
+def test_fixture_reads_a_candidate_that_starts_with_hash(tmp_path):
+    """A comment is a line that starts with "#" and holds no tab, so the
+    row of a candidate verb such as "# read" (a vertical lemma may be one)
+    is read, not skipped."""
+    target = VerbObject("begin", 1, "book", (2, 3), ("d", 0))
+    row = ScoredCandidate(VerbObject("# read", 1, "book", (2, 3), ("d", 1)),
+                          0.9, VIABLE)
+    path = tmp_path / "t.tsv"
+    write_tables(path, [RankingTable(target, (row,))], [{"# read": "+"}])
+    path.write_text("# a comment\n#another\n" + path.read_text())
+    fixture = load_fixture(path)
+    assert fixture.targets == (FixtureTarget("d", 0, "begin", "book"),)
+    assert fixture.rows == (
+        FixtureRow(fixture.targets[0], "# read", 0.9, VIABLE, True),)
+
+
+# one tab-separated field: any UTF-8 text without a tab or a line end
+field_text = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    max_size=8)
+scored = st.one_of(
+    st.tuples(st.none(), st.just(NOT_IN_VOCAB)),
+    st.tuples(st.floats(0, 1), st.sampled_from([VIABLE, REJECTED,
+                                                DISCARDED])))
+ranked_target = st.tuples(
+    field_text, st.integers(0, 10 ** 6), field_text, field_text,
+    st.lists(st.tuples(field_text, scored, st.booleans()), max_size=4))
+
+
+@given(st.lists(ranked_target, max_size=3))
+def test_write_table_load_fixture_round_trip(specs):
+    """Tables written with a gold column read back as the same targets,
+    rows, labels, gold and confidences, the last to 5 decimals."""
+    tables, gold, expected = [], [], []
+    for doc_id, index, verb, head, rows in specs:
+        target = VerbObject(verb, 0, head, (1, 2), (doc_id, index))
+        table_gold = {candidate: "+" if positive else "-"
+                      for candidate, _, positive in rows}
+        tables.append(RankingTable(target, tuple(
+            ScoredCandidate(VerbObject(candidate, 0, head, (1, 2),
+                                       (doc_id, index)), score, label)
+            for candidate, (score, label), _ in rows)))
+        gold.append(table_gold)
+        fixture_target = FixtureTarget(doc_id, index, verb, head)
+        expected.append((fixture_target, [
+            FixtureRow(fixture_target, candidate,
+                       None if score is None else round(score, 5), label,
+                       table_gold[candidate] == "+")
+            for candidate, (score, label), _ in rows]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tables.tsv"
+        write_tables(path, tables, gold)
+        fixture = load_fixture(path)
+    assert fixture.targets == tuple(target for target, _ in expected)
+    assert fixture.rows == tuple(row for _, rows in expected for row in rows)
