@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import typing
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,6 @@ from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
 
-CONFIG_ENV_VAR = "METOVEC_CONFIG"
 FORMATS = ["vertical", "plain"]
 
 
@@ -87,7 +85,6 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     ``path: bad config: ...``, as in a model archive.
     """
     config = PipelineConfig()
-    path = path or os.environ.get(CONFIG_ENV_VAR)
     if path:
         values = _read_config_file(path)
         try:
@@ -237,8 +234,7 @@ def build_parser():
         prog="metovec",
         description="Train word embeddings and rank covert-event "
                     "paraphrases for verbal metonymy.")
-    parser.add_argument("--config", default=None,
-                        help=f"config file (JSON); default ${CONFIG_ENV_VAR}")
+    parser.add_argument("--config", default=None, help="config file (JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vocab", help="write word<TAB>count vocabulary file")

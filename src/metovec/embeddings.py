@@ -318,11 +318,12 @@ def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError(f"word id outside [0, {vocab_size})")
     counts = np.zeros(4, dtype=np.int64)
+    # as in train: a window as long as the sentence reaches all of it
     trained = _hs.library().hs_example(
         ids.astype(np.int32), 0, len(ids), focus, tree.starts, tree.nodes,
         tree.targets, model.input_vectors, model.node_vectors,
-        np.empty(2 * model.config.dim), model.config.dim, window, cbow, lr,
-        counts, np.zeros(2))
+        np.empty(2 * model.config.dim), model.config.dim,
+        min(window, len(ids)), cbow, lr, counts, np.zeros(2))
     if stats is not None:
         stats.add(counts)
     return bool(trained)
@@ -372,6 +373,9 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
 
     epoch_function = _hs.library().hs_epoch
     tree = model.tree
+    # _hs.c takes the window as an int64 and adds a position to it; one as
+    # long as the corpus already reaches every word of every sentence
+    window = min(config.window, epoch_tokens)
     work = np.empty(2 * config.dim)
     for epoch in range(1, config.epochs + 1):
         counts = np.zeros(4, dtype=np.int64)
@@ -379,7 +383,7 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
         started = time.perf_counter()
         epoch_function(ids, starts, len(encoded), tree.starts, tree.nodes,
                        tree.targets, model.input_vectors, model.node_vectors,
-                       work, config.dim, config.window, config.mode == CBOW,
+                       work, config.dim, window, config.mode == CBOW,
                        config.lr_start, config.lr_end,
                        (epoch - 1) * epoch_tokens, total_tokens, counts, out)
         elapsed = time.perf_counter() - started
@@ -446,31 +450,27 @@ def _utf8(text: str) -> np.ndarray:
 
 
 def load_model(path) -> EmbeddingModel:
-    """Read a model archive written by ``save_model``.  A malformed
+    """Read a model archive written by ``save_model``.  Member names,
+    dtypes and shapes are checked before any value is used.  A malformed
     archive, or any other file, raises a ValueError that starts
     ``path: ``; a file that is not a zip fails as
     ``path: bad model archive: File is not a zip file``."""
+    # open outside the try: a missing file is an OSError, not a bad archive
     with open(path, "rb") as handle:
-        return _load_archive(handle, path)
-
-
-def _load_archive(handle, path) -> EmbeddingModel:
-    """The model in the binary archive open at ``handle``.  Member names,
-    dtypes and shapes are checked before any value is used."""
-    try:
-        with zipfile.ZipFile(handle) as archive:
-            names = sorted(archive.namelist())
-            expected = sorted(name + ".npy" for name in _MEMBER_DTYPES)
-            if names != expected:
-                raise ValueError(f"members {names}, expected {expected}")
-            arrays = {name: _read_member(archive, handle, name + ".npy")
-                      for name in _MEMBER_DTYPES}
-    # a cut or corrupt zip raises BadZipFile, a member whose data ends
-    # early EOFError, a corrupt offset OSError, and a member flagged as
-    # encrypted or compressed by an unknown method RuntimeError
-    except (zipfile.BadZipFile, EOFError, OSError, RuntimeError,
-            ValueError) as exc:
-        raise ValueError(f"{path}: bad model archive: {exc}") from None
+        try:
+            with zipfile.ZipFile(handle) as archive:
+                names = sorted(archive.namelist())
+                expected = sorted(name + ".npy" for name in _MEMBER_DTYPES)
+                if names != expected:
+                    raise ValueError(f"members {names}, expected {expected}")
+                arrays = {name: _read_member(archive, handle, name + ".npy")
+                          for name in _MEMBER_DTYPES}
+        # a cut or corrupt zip raises BadZipFile, a member whose data ends
+        # early EOFError, a corrupt offset OSError, and a member flagged as
+        # encrypted or compressed by an unknown method RuntimeError
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError,
+                ValueError) as exc:
+            raise ValueError(f"{path}: bad model archive: {exc}") from None
     for name, dtype in _MEMBER_DTYPES.items():
         if arrays[name].dtype != dtype:
             raise ValueError(f"{path}: member {name} has dtype "

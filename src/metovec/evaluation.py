@@ -166,9 +166,11 @@ def load_fixture(path=None) -> Fixture:
     experiment's full result tables (41 targets, 179 rows).  Each table is
     a ``#target<TAB>doc<TAB>index<TAB>verb<TAB>np_head`` header followed by
     ``candidate<TAB>confidence_or_NIV<TAB>label<TAB>gold`` rows where gold
-    is "+" or "-".  Blank lines are skipped, and so is a comment: a line
-    that starts with "#" and holds no tab, so a row whose candidate starts
-    with "#" is read.
+    is "+" or "-".  A header is a line of 5 fields whose first is
+    ``#target``; any other line is a row, so a row whose candidate is
+    ``#target`` is read.  Blank lines are skipped, and so is a comment: a
+    line that starts with "#" and holds no tab, so a row whose candidate
+    starts with "#" is read.
     """
     if path is None:
         path = resources.files("metovec.data") / FIXTURE_RESOURCE
@@ -179,9 +181,7 @@ def load_fixture(path=None) -> Fixture:
         if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         fields = line.split("\t")
-        if fields[0] == "#target":
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: bad target header")
+        if fields[0] == "#target" and len(fields) == 5:
             try:
                 index = int(fields[2])
             except ValueError:

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from metovec.cli import CONFIG_ENV_VAR, load_config, main
+from metovec.cli import PipelineConfig, load_config, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
 from metovec.metonymy import DEFAULT_VERBS, MetonymyTarget
@@ -39,17 +39,27 @@ def trained_model(tmp_path, chapter_corpus):
     return model_path
 
 
-def test_load_config_precedence(tmp_path, monkeypatch):
+def test_load_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dim": 32, "seed": 7}))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    # env-var config applies when no explicit path is given
-    assert load_config().training.dim == 32
+    assert load_config(str(cfg)).training.dim == 32
     # flags win over the file
-    assert load_config(overrides={"dim": 64}).training.dim == 64
-    assert load_config(overrides={"dim": None}).training.seed == 7
-    monkeypatch.delenv(CONFIG_ENV_VAR)
+    assert load_config(str(cfg), {"dim": 64}).training.dim == 64
+    assert load_config(str(cfg), {"dim": None}).training.seed == 7
     assert load_config().training.dim == 100
+
+
+def test_config_not_read_from_environment(tmp_path, chapter_corpus,
+                                          monkeypatch, capsys):
+    # only --config names a config file: a stray one in the environment
+    # changes nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimm": 1}))
+    monkeypatch.setenv("METOVEC_CONFIG", str(cfg))
+    assert load_config() == PipelineConfig()
+    assert main(["train", "--corpus", str(chapter_corpus), "--dim", "8",
+                 "--output", str(tmp_path / "m.model")]) == 0
+    assert "D=8" in capsys.readouterr().out
 
 
 def test_config_unknown_key(tmp_path, chapter_corpus):
@@ -101,11 +111,6 @@ def test_config_checked_by_every_subcommand(tmp_path, trained_model,
     argv = [str(trained_model) if arg == "MODEL" else arg for arg in command]
     with pytest.raises(SystemExit) as exit_:
         main(["--config", str(cfg), *argv])
-    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
-    # $METOVEC_CONFIG is read the same way
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
     assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
 
 
@@ -250,6 +255,16 @@ def test_cmd_query_oov_message(trained_model, subcommand, words):
     with pytest.raises(SystemExit) as exit_:
         main(["query", subcommand, "--model", str(trained_model), *words])
     assert str(exit_.value) == "error: 'zebra' is not in the model vocabulary"
+
+
+def test_cmd_query_missing_model(tmp_path):
+    """A model file that is not there fails as the OSError it is, not as a
+    bad model archive."""
+    missing = tmp_path / "missing.model"
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", "neighbors", "--model", str(missing), "chapter"])
+    assert str(exit_.value) \
+        == f"error: [Errno 2] No such file or directory: '{missing}'"
 
 
 def test_cmd_query_repeated_word(tmp_path, capsys):

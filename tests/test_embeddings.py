@@ -231,6 +231,38 @@ def test_train_example_checks_bounds(step, sentence, focus, tree, window,
     assert np.array_equal(model.node_vectors, nodes_before)
 
 
+# past an int64 (2**63 - 1 and up) a window reaches _hs.c only as one
+# as long as the sentence or corpus, with the same bits
+HUGE_WINDOWS = [2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1]
+
+
+@pytest.mark.parametrize("step", [train_example_cbow, train_example_skipgram])
+@pytest.mark.parametrize("window", HUGE_WINDOWS)
+def test_train_example_huge_window(step, window):
+    sentence = [0, 1, 2, 3, 4]
+    models = [random_model(seed=62), random_model(seed=62)]
+    for model, w in zip(models, [window, len(sentence)]):
+        for focus in range(len(sentence)):
+            assert step(model, model.tree, focus, sentence, 0.05, window=w)
+    assert np.array_equal(models[0].input_vectors, models[1].input_vectors)
+    assert np.array_equal(models[0].node_vectors, models[1].node_vectors)
+
+
+@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
+@pytest.mark.parametrize("window", HUGE_WINDOWS)
+def test_train_huge_window(tiny_corpus, mode, window):
+    longest = max(len(sentence.lemmas) for sentence in tiny_corpus)
+    models, stats = [], []
+    for w in (window, longest):
+        stats.append(TrainStats())
+        models.append(train(tiny_corpus, TrainingConfig(
+            mode=mode, window=w, dim=6, epochs=2, seed=9), stats=stats[-1]))
+    assert np.array_equal(models[0].input_vectors, models[1].input_vectors)
+    assert np.array_equal(models[0].node_vectors, models[1].node_vectors)
+    assert stats[0].examples == stats[1].examples > 0
+    assert stats[0].skipped == stats[1].skipped == 0
+
+
 def test_cbow_repeated_context_word_updated_per_occurrence():
     # the compiled step against the numpy gradient oracle; the context of
     # focus 2 at window 2 is [1, 3, 1, 4], so word 1 occurs twice

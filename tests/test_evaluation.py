@@ -161,8 +161,15 @@ def test_fixture_parse_errors(tmp_path):
     with pytest.raises(ValueError, match="before any"):
         load_fixture(bad)
     bad.write_text("#target\tdoc\t1\tbegin\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match="row before any #target header"):
         load_fixture(bad)
+    # a header is the 5-field "#target" line, so after a header a 4-field
+    # one is a row, here with "begin" in its gold column
+    bad.write_text("#target\tdoc\t1\tbegin\tbook\n"
+                   "#target\tdoc\t1\tbegin\n")
+    with pytest.raises(ValueError) as err:
+        load_fixture(bad)
+    assert str(err.value) == f"{bad}:2: bad gold label 'begin'"
     bad.write_text("#target\tdoc\t1\tbegin\tbook\nRead the book.\t0.5\tViable\n")
     with pytest.raises(ValueError, match="4 fields"):
         load_fixture(bad)
@@ -244,6 +251,20 @@ def test_fixture_reads_a_candidate_that_starts_with_hash(tmp_path):
     assert fixture.targets == (FixtureTarget("d", 0, "begin", "book"),)
     assert fixture.rows == (
         FixtureRow(fixture.targets[0], "# read", 0.9, VIABLE, True),)
+
+
+def test_fixture_reads_a_target_candidate(tmp_path):
+    """A header is the 5-field "#target" line, so the row of a candidate
+    verb "#target" (a vertical lemma may be one) reads back as a row."""
+    target = VerbObject("begin", 1, "book", (2, 3), ("d", 0))
+    row = ScoredCandidate(VerbObject("#target", 1, "book", (2, 3), ("d", 1)),
+                          0.9, VIABLE)
+    path = tmp_path / "t.tsv"
+    write_tables(path, [RankingTable(target, (row,))], [{"#target": "+"}])
+    fixture = load_fixture(path)
+    assert fixture.targets == (FixtureTarget("d", 0, "begin", "book"),)
+    assert fixture.rows == (
+        FixtureRow(fixture.targets[0], "#target", 0.9, VIABLE, True),)
 
 
 # one tab-separated field: any UTF-8 text without a tab or a line end
