@@ -202,14 +202,30 @@ def _fixture_rows(args):
     return fixture, labels, gold, scored
 
 
+def _defined(metric, cm):
+    """``metric(cm)``, or None where the counts leave it undefined."""
+    try:
+        return metric(cm)
+    except evaluation.UndefinedMetricError:
+        return None
+
+
+def _shown(value, spec=".4f"):
+    return "undefined" if value is None else format(value, spec)
+
+
 def cmd_eval(args, config):
     fixture, labels, gold, scored = _fixture_rows(args)
     cm = evaluation.confusion(labels, gold, unscored=args.unscored)
     print(f"targets: {len(fixture.targets)}  rows: {len(fixture.rows)}")
     print(f"tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
-    print(f"precision={evaluation.precision(cm):.4f} "
-          f"recall={evaluation.recall(cm):.4f}")
-    print(f"phi={evaluation.phi_coefficient(cm):.4f}")
+    phi = _defined(evaluation.phi_coefficient, cm)
+    chi2, p = ((None, None) if phi is None
+               else evaluation.phi_chi_square(phi, cm.total))
+    print(f"precision={_shown(_defined(evaluation.precision, cm))} "
+          f"recall={_shown(_defined(evaluation.recall, cm))}")
+    print(f"phi={_shown(phi)}")
+    print(f"chi2={_shown(chi2)} p={_shown(p, '.3g')}")
     if args.pr_csv:
         _write_pr_csv(scored, args.pr_csv)
         print(f"wrote {args.pr_csv}")

@@ -66,27 +66,40 @@ class Sentence:
         return (self.doc_id, self.index)
 
 
-def _sentence(rows, doc_id, index) -> Sentence:
-    return Sentence(*zip(*rows), doc_id, index)
+def _sentence(surfaces, lemmas, tags, doc_id, index) -> Sentence:
+    return Sentence(tuple(surfaces), tuple(lemmas), tuple(tags), doc_id, index)
 
 
 def _read_vertical(path):
     doc_id = str(path)
     index = 0
-    rows = []
+    surfaces, lemmas, tags = [], [], []
+    tag_of = {tag: tag for tag in COARSE_TAGS}.get
     for lineno, line in numbered_lines(path):
-        # a token line has tabs, so "#doc x<TAB>..." is a token
+        try:
+            surface, lemma, pos = line.split("\t")
+        except ValueError:
+            tag = None
+        else:
+            tag = tag_of(pos)
+        if tag and surface and lemma:
+            surfaces.append(intern(surface))
+            lemmas.append(intern(lemma.lower()))
+            tags.append(tag)
+            continue
+        # not a token line: a #doc marker, a blank line or an error, in
+        # that order.  A token line has tabs, so "#doc x<TAB>..." is a token
         if line.startswith("#doc ") and "\t" not in line:
-            if rows:
-                yield _sentence(rows, doc_id, index)
-                rows = []
+            if surfaces:
+                yield _sentence(surfaces, lemmas, tags, doc_id, index)
+                surfaces, lemmas, tags = [], [], []
             doc_id = line[len("#doc "):].strip()
             index = 0
             continue
         if not line.strip():
-            if rows:
-                yield _sentence(rows, doc_id, index)
-                rows = []
+            if surfaces:
+                yield _sentence(surfaces, lemmas, tags, doc_id, index)
+                surfaces, lemmas, tags = [], [], []
                 index += 1
             continue
         fields = line.split("\t")
@@ -99,11 +112,9 @@ def _read_vertical(path):
             raise CorpusFormatError(path, lineno, "empty surface form")
         if not lemma:
             raise CorpusFormatError(path, lineno, "empty lemma")
-        if pos not in COARSE_TAGS:
-            raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
-        rows.append((intern(surface), intern(lemma.lower()), intern(pos)))
-    if rows:
-        yield _sentence(rows, doc_id, index)
+        raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
+    if surfaces:
+        yield _sentence(surfaces, lemmas, tags, doc_id, index)
 
 
 def _read_plain(path):
@@ -217,10 +228,11 @@ def next_word_counts(corpus, vocab: Vocabulary) -> NextWordCounts:
     """Count immediate successors within sentences; OOV tokens are skipped
     both as focus and as successor, and no pairs cross sentence boundaries."""
     rows: dict[str, dict[str, int]] = {}
+    known = vocab.index
     for sentence in corpus:
         lemmas = sentence.lemmas
         for focus, follower in zip(lemmas, lemmas[1:]):
-            if focus not in vocab or follower not in vocab:
+            if focus not in known or follower not in known:
                 continue
             row = rows.setdefault(focus, {})
             row[follower] = row.get(follower, 0) + 1

@@ -107,6 +107,15 @@ def phi_coefficient(cm: ConfusionMatrix) -> float:
     return (cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(math.prod(marginals))
 
 
+def phi_chi_square(phi: float, n: int) -> tuple[float, float]:
+    """The chi-square test of a 2x2 table with coefficient ``phi`` over
+    ``n`` items: chi2 = n * phi**2 on one degree of freedom, and its
+    p-value, the chance of a chi2 at least this large from a classifier
+    no better than chance, erfc(sqrt(chi2 / 2))."""
+    chi2 = n * phi * phi
+    return chi2, math.erfc(math.sqrt(chi2 / 2))
+
+
 def pr_curve(scored_rows) -> list[PRPoint]:
     """One (precision, recall) point per retrieved row.
 

@@ -43,7 +43,7 @@ class VerbObject:
     validated: bool = True
 
 
-MetonymyTarget = CandidateSentence = VerbObject
+CandidateSentence = VerbObject
 
 
 def _gap_token(tag: str, lemma: str) -> bool:

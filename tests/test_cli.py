@@ -8,7 +8,7 @@ import pytest
 from metovec.cli import PipelineConfig, load_config, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
-from metovec.metonymy import DEFAULT_VERBS, MetonymyTarget
+from metovec.metonymy import DEFAULT_VERBS, CandidateSentence
 from metovec.ranking import (NOT_IN_VOCAB, RankingTable, ScoredCandidate,
                              label_for, score_candidate, write_table)
 
@@ -464,8 +464,8 @@ def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
         found = next(c for c in rescan_candidates(corpus, head)
                      if c.sentence_ref == (doc_id, index)
                      and c.verb_lemma == verb)
-        targets.append(MetonymyTarget(verb, found.verb_position, head,
-                                      found.np_span, found.sentence_ref))
+        targets.append(CandidateSentence(verb, found.verb_position, head,
+                                         found.np_span, found.sentence_ref))
     expected = reference_tables(corpus, load_model(model_path), targets)
     gold = tmp_path / "gold.tsv"
     gold.write_text("".join("\t".join(map(str, record)) + "\n"
@@ -503,6 +503,8 @@ def test_cmd_eval_shipped_fixture(capsys):
     assert "targets: 41" in out
     assert "tp=52 tn=95 fp=14 fn=18" in out
     assert "phi=0.62" in out
+    # the chi-square test of that phi over the 179 rows
+    assert "chi2=69.1324 p=9.21e-17" in out
 
 
 def test_cmd_eval_perfect_toy_fixture(tmp_path, capsys):
@@ -515,6 +517,24 @@ def test_cmd_eval_perfect_toy_fixture(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phi=1.0000" in out
     assert "precision=1.0000 recall=1.0000" in out
+
+
+@pytest.mark.parametrize("rows, printed", [
+    # nothing retrieved: precision and phi are undefined, recall is 0
+    ("Read the book.\t0.4\tRejected\t+\nBurn the book.\t0.1\tDiscarded\t-\n",
+     "tp=0 tn=1 fp=0 fn=1\nprecision=undefined recall=0.0000\n"),
+    # no gold-positive row: recall and phi are undefined
+    ("Read the book.\t0.9\tViable\t-\nBurn the book.\t0.1\tDiscarded\t-\n",
+     "tp=0 tn=1 fp=1 fn=0\nprecision=0.0000 recall=undefined\n"),
+], ids=["no-viable-row", "no-gold-positive"])
+def test_cmd_eval_undefined_metrics(tmp_path, capsys, rows, printed):
+    """An undefined metric is printed as such, and eval goes on."""
+    fixture = tmp_path / "toy.tsv"
+    fixture.write_text("#target\td\t0\tbegin\tbook\n" + rows)
+    assert main(["eval", "--fixture", str(fixture)]) == 0
+    assert capsys.readouterr().out == (
+        "targets: 1  rows: 2\n" + printed
+        + "phi=undefined\nchi2=undefined p=undefined\n")
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x0c"])

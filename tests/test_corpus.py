@@ -1,3 +1,4 @@
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -287,6 +288,108 @@ def test_vertical_round_trip(leading_blanks, unmarked, documents):
                         encoding="utf-8")
         corpus = load_corpus(path, "vertical")
     assert [(s.ref, s.tokens, s.lemmas, s.tags) for s in corpus] == expected
+
+
+def vertical_oracle(path, text):
+    """The vertical format's rules, one check at a time: the sentences of
+    ``text`` as (tokens, lemmas, tags, doc_id, index) tuples, or the
+    message of its first malformed line."""
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[-1] == "":  # the end of the last line starts no line
+        lines.pop()
+    doc_id, index, rows, sentences = str(path), 0, [], []
+
+    def close():
+        sentences.append((*map(tuple, zip(*rows)), doc_id, index))
+        rows.clear()
+
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("#doc ") and "\t" not in line:
+            if rows:
+                close()
+            doc_id, index = line[len("#doc "):].strip(), 0
+        elif not line.strip():
+            if rows:
+                close()
+                index += 1
+        else:
+            fields = line.split("\t")
+            if len(fields) != 3:
+                return (f"{path}:{lineno}: expected 3 tab-separated "
+                        f"fields, got {len(fields)}")
+            surface, lemma, pos = fields
+            if not surface:
+                return f"{path}:{lineno}: empty surface form"
+            if not lemma:
+                return f"{path}:{lineno}: empty lemma"
+            if pos not in COARSE_TAGS:
+                return f"{path}:{lineno}: unknown POS tag {pos!r}"
+            rows.append((surface, lemma.lower(), pos))
+    if rows:
+        close()
+    return sentences
+
+
+tag = st.sampled_from(sorted(COARSE_TAGS))
+token_line = st.builds("{}\t{}\t{}".format, field_text, field_text, tag)
+spaces = st.text(" \t\x0b\x0c\x1c\x85\u2028", max_size=3)
+# each kind of line a vertical file may hold
+good_line = st.one_of(
+    token_line,
+    # a marker, whose id is stripped
+    st.builds("#doc {}{}{}".format, spaces.filter(lambda s: "\t" not in s),
+              field_text, st.sampled_from(["", " ", "\x0c"])),
+    st.builds("#doc {}".format, token_line),  # a token, for it has tabs
+    st.just(""),
+    # whitespace only, with at least one tab: ends a sentence
+    st.builds("{}\t{}".format, spaces, spaces))
+# one line of each malformed kind: some have a later kind's fault too, and
+# some start as a marker does
+maybe_empty = field_text | st.just("")
+bad_lines = st.tuples(*(
+    st.builds("{}{}".format, st.sampled_from(["", "#doc "]), line)
+    for line in [
+        st.builds("\t".join, st.lists(maybe_empty, min_size=1, max_size=5)
+                  .filter(lambda fields: len(fields) != 3)),
+        st.builds("\t{}\t{}".format, maybe_empty, tag | st.just("noun")),
+        st.builds("{}\t\t{}".format, field_text, tag | st.just("noun")),
+        st.builds("{}\t{}\t{}".format, field_text, field_text,
+                  st.sampled_from(["", "noun", "NOUN ", "DETERMINER"]))]))
+
+
+@st.composite
+def vertical_text(draw):
+    lines = draw(st.lists(good_line, max_size=30))
+    for line in draw(bad_lines):
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):  # no end after the last line
+        text = text[:-len(ends[-1])]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertical_text())
+@example("#doc a\rA\ta\tDET\r\n\t\r#doc b\tB\tNOUN\n \t \nc\tC\tADJ")
+@example("A\ta\tDET\n#doc\tx\n")
+@example("A\ta\tDET\n\tb\tNOUN\n\nB\t\tNOUN\n")
+def test_vertical_reader_matches_the_format_rules(text):
+    """Every line kind, malformed lines and mixed line ends: the reader
+    gives the sentences the format's rules give, or their first error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.vert"
+        path.write_bytes(text.encode())
+        expected = vertical_oracle(path, text)
+        if isinstance(expected, str):
+            with pytest.raises(CorpusFormatError) as err:
+                load_corpus(path, "vertical")
+            assert str(err.value) == expected
+        else:
+            assert [(s.tokens, s.lemmas, s.tags, s.doc_id, s.index)
+                    for s in load_corpus(path, "vertical")] == expected
 
 
 BEGIN_THE_BOOK = Sentence(("They", "begin", "the", "book"),

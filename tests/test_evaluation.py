@@ -2,11 +2,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metovec.evaluation import (ConfusionMatrix, FixtureRow, FixtureTarget,
                                 UndefinedMetricError, confusion, load_fixture,
-                                phi_coefficient, pr_curve, precision, recall)
+                                phi_chi_square, phi_coefficient, pr_curve,
+                                precision, recall)
 from metovec.metonymy import VerbObject
 from metovec.ranking import (DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE,
                              RankingTable, ScoredCandidate, write_table)
@@ -99,6 +100,26 @@ def test_phi_symmetries(tp, tn, fp, fn):
     # negating the classifier negates phi
     assert phi_coefficient(ConfusionMatrix(fp, fn, tp, tn)) \
         == pytest.approx(-phi)
+
+
+def test_phi_chi_square_paper_figures():
+    """The paper's phi of 0.61 over its 179 rows is far better than
+    chance: chi2 = 179 * 0.61**2 on one degree of freedom."""
+    chi2, p = phi_chi_square(0.61, 179)
+    assert chi2 == pytest.approx(66.6, abs=0.01)
+    assert 3e-16 < p < 3.5e-16
+    assert phi_chi_square(0.0, 179) == (0.0, 1.0)
+
+
+@settings(deadline=None)  # the first example imports scipy
+@given(st.floats(-1, 1), st.integers(1, 10_000))
+def test_phi_chi_square_is_the_chi2_tail(phi, n):
+    stats = pytest.importorskip("scipy.stats")
+    chi2, p = phi_chi_square(phi, n)
+    assert chi2 == pytest.approx(n * phi ** 2)
+    assert p == pytest.approx(stats.chi2.sf(chi2, 1), rel=1e-9, abs=1e-300)
+    # the sign of phi does not change the test
+    assert phi_chi_square(-phi, n) == (chi2, p)
 
 
 def test_pr_curve_example():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from metovec.corpus import CorpusFormatError, Sentence, load_corpus
 from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, MAX_GAP, PARTICLES,
-                              CandidateSentence, MetonymyTarget, VerbObject,
+                              CandidateSentence, VerbObject,
                               find_targets, harvest_candidates, index_corpus,
                               load_gold_targets, object_np_after,
                               validate_direct_object, _governed_pairs)
@@ -260,7 +260,7 @@ def test_index_matches_rescan(tmp_path):
 
 
 def test_one_verb_object_record(tmp_path):
-    assert MetonymyTarget is CandidateSentence is VerbObject
+    assert CandidateSentence is VerbObject
     path = write_vertical(tmp_path / "c.vert", random_sentences(7, count=60))
     index = index_corpus(load_corpus(path, "vertical"))
     targets = find_targets(index)

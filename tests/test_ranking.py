@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from metovec.metonymy import CandidateSentence, MetonymyTarget
+from metovec.metonymy import CandidateSentence
 from metovec.ranking import (DISCARDED, DISCARD_THRESHOLD, NOT_IN_VOCAB,
                              REJECTED, VIABLE, VIABLE_THRESHOLD, label_for,
                              rank, score_candidate, write_table)
@@ -16,7 +16,7 @@ from conftest import make_model
 
 
 def target(verb="begin", head="chapter"):
-    return MetonymyTarget(verb, 0, head, (2, 3), ("d", 0))
+    return CandidateSentence(verb, 0, head, (2, 3), ("d", 0))
 
 
 def candidate(verb, head="chapter"):
