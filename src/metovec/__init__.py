@@ -14,33 +14,11 @@ from .huffman import HuffmanTree, build_huffman_tree
 from .metonymy import (DEFAULT_VERBS, CandidateSentence, VerbObject,
                        VerbObjectIndex, VerbSpec, find_targets,
                        harvest_candidates, index_corpus, load_gold_targets,
-                       object_np_after, validate_direct_object)
+                       object_np_after)
 from .ranking import (DISCARD_THRESHOLD, VIABLE_THRESHOLD, RankingTable,
-                      ScoredCandidate, label_for, rank, score_candidate,
-                      write_table)
-from .vectorspace import (PhraseVector, analogy, confidence, cosine_scores,
-                          cosine_similarity, nearest_neighbours,
-                          phrase_vector)
+                      ScoredCandidate, label_for, rank, write_table)
+from .vectorspace import (PhraseVector, analogy, confidence_scores,
+                          cosine_scores, cosine_similarity,
+                          nearest_neighbours, phrase_vector)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CorpusFormatError", "NextWordCounts", "Sentence", "Vocabulary",
-    "build_vocabulary", "load_corpus", "next_word_counts",
-    "CBOW", "SKIPGRAM", "EmbeddingModel", "EpochStats",
-    "NotInVocabularyError",
-    "TrainingConfig", "TrainStats", "init_model", "leaf_probability",
-    "load_model", "save_model", "train",
-    "HuffmanTree", "build_huffman_tree",
-    "ConfusionMatrix", "Fixture", "PRPoint", "UndefinedMetricError",
-    "confusion", "load_fixture", "phi_coefficient", "pr_curve",
-    "precision", "recall",
-    "DEFAULT_VERBS", "CandidateSentence", "VerbObject",
-    "VerbObjectIndex", "VerbSpec", "find_targets", "harvest_candidates",
-    "index_corpus", "load_gold_targets",
-    "object_np_after", "validate_direct_object",
-    "DISCARD_THRESHOLD", "VIABLE_THRESHOLD", "RankingTable",
-    "ScoredCandidate", "label_for", "rank", "score_candidate", "write_table",
-    "PhraseVector", "analogy", "confidence", "cosine_scores",
-    "cosine_similarity", "nearest_neighbours", "phrase_vector",
-]

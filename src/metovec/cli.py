@@ -193,13 +193,16 @@ def cmd_paraphrase(args, config):
         print(f"wrote {path} ({len(table.rows)} candidates)")
 
 
-def _fixture_rows(args):
-    fixture = evaluation.load_fixture(args.fixture)
-    labels = [row.label for row in fixture.rows]
-    gold = [row.gold for row in fixture.rows]
+def _pr_points(args, fixture):
+    """The PR curve of ``fixture``, read from ``args.fixture``; an undefined
+    curve raises with the file's name."""
     scored = [(row.confidence, row.gold) for row in fixture.rows
               if row.confidence is not None]
-    return fixture, labels, gold, scored
+    try:
+        return evaluation.pr_curve(scored)
+    except evaluation.UndefinedMetricError as exc:
+        raise evaluation.UndefinedMetricError(
+            f"{args.fixture}: {exc}") from None
 
 
 def _defined(metric, cm):
@@ -215,8 +218,13 @@ def _shown(value, spec=".4f"):
 
 
 def cmd_eval(args, config):
-    fixture, labels, gold, scored = _fixture_rows(args)
-    cm = evaluation.confusion(labels, gold, unscored=args.unscored)
+    fixture = evaluation.load_fixture(args.fixture)
+    # built before the first line is printed, so an undefined curve
+    # fails with no output
+    points = _pr_points(args, fixture) if args.pr_csv else None
+    cm = evaluation.confusion([row.label for row in fixture.rows],
+                              [row.gold for row in fixture.rows],
+                              unscored=args.unscored)
     print(f"targets: {len(fixture.targets)}  rows: {len(fixture.rows)}")
     print(f"tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
     phi = _defined(evaluation.phi_coefficient, cm)
@@ -227,18 +235,17 @@ def cmd_eval(args, config):
     print(f"phi={_shown(phi)}")
     print(f"chi2={_shown(chi2)} p={_shown(p, '.3g')}")
     if args.pr_csv:
-        _write_pr_csv(scored, args.pr_csv)
+        _write_pr_csv(points, args.pr_csv)
         print(f"wrote {args.pr_csv}")
 
 
 def cmd_prcurve(args, config):
-    _, _, _, scored = _fixture_rows(args)
-    _write_pr_csv(scored, args.output)
+    points = _pr_points(args, evaluation.load_fixture(args.fixture))
+    _write_pr_csv(points, args.output)
     print(f"wrote {args.output}")
 
 
-def _write_pr_csv(scored, path):
-    points = evaluation.pr_curve(scored)
+def _write_pr_csv(points, path):
     with open(path, "w", encoding="utf-8") as out:
         out.write("rank,precision,recall\n")
         for p in points:

@@ -180,12 +180,6 @@ class Vocabulary:
     def __contains__(self, lemma):
         return lemma in self.index
 
-    def id_of(self, lemma: str) -> int:
-        return self.index[lemma]
-
-    def count_of(self, lemma: str) -> int:
-        return self.counts[self.index[lemma]]
-
 
 def build_vocabulary(corpus, max_size: int, min_count: int = 1) -> Vocabulary:
     """Count lemmas and keep the top ``max_size`` at or above ``min_count``."""

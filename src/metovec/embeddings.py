@@ -182,7 +182,7 @@ class EmbeddingModel:
 
     def vector(self, lemma: str) -> np.ndarray:
         try:
-            return self.input_vectors[self.vocab.id_of(lemma)]
+            return self.input_vectors[self.vocab.index[lemma]]
         except KeyError:
             raise NotInVocabularyError(lemma) from None
 
@@ -203,7 +203,7 @@ def leaf_probability(model: EmbeddingModel, tree: HuffmanTree,
     """
     if word not in model.vocab:
         raise NotInVocabularyError(word)
-    wid = model.vocab.id_of(word)
+    wid = model.vocab.index[word]
     prob = 1.0
     for node, bit in zip(tree.paths[wid], tree.codes[wid]):
         score = float(np.dot(context_vector, model.node_vectors[node]))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import numbered_lines
+from .corpus import CorpusFormatError, numbered_lines
 from .ranking import DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE
 
 FIXTURE_RESOURCE = "reference_rankings.tsv"
@@ -159,11 +159,8 @@ class Fixture:
     targets: tuple[FixtureTarget, ...]
     rows: tuple[FixtureRow, ...]
 
-    def rows_for_verb(self, verb: str):
-        return [row for row in self.rows if row.target.verb == verb]
-
     def confusion_for_verb(self, verb, unscored="true-negative"):
-        rows = self.rows_for_verb(verb)
+        rows = [row for row in self.rows if row.target.verb == verb]
         return confusion([r.label for r in rows], [r.gold for r in rows],
                          unscored=unscored)
 
@@ -194,35 +191,37 @@ def load_fixture(path=None) -> Fixture:
             try:
                 index = int(fields[2])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad sentence index "
-                                 f"{fields[2]!r}") from None
+                raise CorpusFormatError(path, lineno, "bad sentence index "
+                                        f"{fields[2]!r}") from None
             current = FixtureTarget(fields[1], index, fields[3], fields[4])
             targets.append(current)
             continue
         if current is None:
-            raise ValueError(f"{path}:{lineno}: row before any #target header")
+            raise CorpusFormatError(path, lineno,
+                                    "row before any #target header")
         if len(fields) != 4:
             why = ": the gold column is missing" if len(fields) == 3 else ""
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got "
-                             f"{len(fields)}{why}")
+            raise CorpusFormatError(
+                path, lineno, f"expected 4 fields, got {len(fields)}{why}")
         candidate, score_str, label, gold_str = fields
         if gold_str not in ("+", "-"):
-            raise ValueError(f"{path}:{lineno}: bad gold label {gold_str!r}")
+            raise CorpusFormatError(path, lineno,
+                                    f"bad gold label {gold_str!r}")
         if label not in _LABELS:
-            raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
+            raise CorpusFormatError(path, lineno, f"unknown label {label!r}")
         if score_str == "NIV":
             score = None
         else:
             try:
                 score = float(score_str)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad confidence "
-                                 f"{score_str!r}") from None
+                raise CorpusFormatError(
+                    path, lineno, f"bad confidence {score_str!r}") from None
             if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: non-finite confidence "
-                                 f"{score_str!r}")
+                raise CorpusFormatError(
+                    path, lineno, f"non-finite confidence {score_str!r}")
         if (score is None) != (label == NOT_IN_VOCAB):
-            raise ValueError(f"{path}:{lineno}: confidence/label mismatch")
+            raise CorpusFormatError(path, lineno, "confidence/label mismatch")
         rows.append(FixtureRow(current, candidate, score, label,
                                gold_str == "+"))
     return Fixture(tuple(targets), tuple(rows))

@@ -16,8 +16,9 @@ class HuffmanTree:
 
     Word ``w``'s path spans ``starts[w]:starts[w + 1]`` (``int64``,
     ``V + 1`` long).  Over it ``nodes`` holds the ``int32`` ids (0-based,
-    ``n_internal`` in all) of the internal nodes visited from the root and
-    ``targets`` the ``float64`` ``1 - bit`` of each bit of the word's code.
+    ``V - 1`` in all, the root last) of the internal nodes visited from the
+    root and ``targets`` the ``float64`` ``1 - bit`` of each bit of the
+    word's code.
     ``paths[w]`` and ``codes[w]`` are the word's spans of ``nodes`` and of
     the ``int8`` code bits, built once per tree.  Compare trees by arrays.
     """
@@ -35,10 +36,6 @@ class HuffmanTree:
         bits = (1 - self.targets).astype(np.int8)
         bits.flags.writeable = False
         return np.split(bits, self.starts[1:-1])
-
-    @property
-    def n_internal(self) -> int:
-        return len(self.starts) - 2
 
     def mean_code_length(self, counts=None) -> float:
         """Mean code length, frequency-weighted when ``counts`` is given;

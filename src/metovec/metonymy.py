@@ -93,15 +93,6 @@ def _governed_pairs(sentence: Sentence):
             yield pos, *found
 
 
-def validate_direct_object(sentence: Sentence, verb_position: int,
-                           np_span: tuple[int, int]) -> bool:
-    """True when ``_governed_pairs`` yields the verb with exactly this NP
-    span as its object."""
-    pair = (verb_position, tuple(np_span))
-    return any((pos, span) == pair
-               for pos, span, _ in _governed_pairs(sentence))
-
-
 @dataclass(frozen=True)
 class VerbObjectIndex:
     """Every validated (verb, object NP) pair of a corpus, found in one pass.

@@ -33,10 +33,6 @@ class ScoredCandidate:
     confidence: float | None  # None marks NotInVocabulary
     label: str
 
-    @property
-    def scored(self) -> bool:
-        return self.confidence is not None
-
 
 @dataclass(frozen=True)
 class RankingTable:
@@ -49,13 +45,6 @@ def _check_head(target: VerbObject, candidate: VerbObject):
         raise ValueError(
             f"candidate NP head {candidate.np_head_lemma!r} does not match "
             f"target NP head {target.np_head_lemma!r}")
-
-
-def score_candidate(model, target: VerbObject, candidate: VerbObject):
-    """Clamped cosine between the target and candidate joint phrase
-    vectors (verb lemma + shared NP head), or None when the candidate
-    verb is out of vocabulary."""
-    return rank(model, target, [candidate]).rows[0].confidence
 
 
 def rank(model, target: VerbObject, candidates,

@@ -64,11 +64,6 @@ def confidence_scores(matrix, query) -> np.ndarray:
     return np.clip(_defined(cosine_scores(matrix, query)), 0.0, 1.0)
 
 
-def confidence(a, b) -> float:
-    """Cosine similarity clamped to [0, 1]."""
-    return float(confidence_scores([a], b)[0])
-
-
 @dataclass(frozen=True)
 class PhraseVector:
     """Mean of the in-vocab constituents of a phrase."""

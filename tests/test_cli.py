@@ -9,8 +9,7 @@ from metovec.cli import PipelineConfig, load_config, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
 from metovec.metonymy import DEFAULT_VERBS, CandidateSentence
-from metovec.ranking import (NOT_IN_VOCAB, RankingTable, ScoredCandidate,
-                             label_for, score_candidate, write_table)
+from metovec.ranking import RankingTable, rank, write_table
 
 from conftest import (BAD_CONFIG_RANGES, PROVERB, make_model,
                       write_vertical)
@@ -413,15 +412,13 @@ def paraphrase_inputs(tmp_path):
 
 
 def reference_tables(corpus, model, targets):
-    """Tables as a per-target rescan and per-row score_candidate give them."""
+    """Tables as a per-target rescan and each candidate ranked alone give
+    them."""
     excluded = {spec.lemma for spec in DEFAULT_VERBS}
     tables = {}
     for n, target in enumerate(targets, start=1):
-        rows = []
-        for cand in rescan_candidates(corpus, target.np_head_lemma, excluded):
-            score = score_candidate(model, target, cand)
-            label = NOT_IN_VOCAB if score is None else label_for(score)
-            rows.append(ScoredCandidate(cand, score, label))
+        rows = [rank(model, target, [cand]).rows[0] for cand in
+                rescan_candidates(corpus, target.np_head_lemma, excluded)]
         rows.sort(key=lambda row: (
             row.confidence is None,
             -(row.confidence if row.confidence is not None else 0.0),
@@ -535,6 +532,23 @@ def test_cmd_eval_undefined_metrics(tmp_path, capsys, rows, printed):
     assert capsys.readouterr().out == (
         "targets: 1  rows: 2\n" + printed
         + "phi=undefined\nchi2=undefined p=undefined\n")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--pr-csv"],
+                                  ["prcurve", "--output"]],
+                         ids=["eval", "prcurve"])
+def test_pr_curve_without_gold_positive_fails_first(tmp_path, capsys, argv):
+    """A PR curve has no recall without a gold-positive row: the command
+    fails, naming the file, before it prints anything."""
+    fixture = tmp_path / "toy.tsv"
+    fixture.write_text("#target\td\t0\tbegin\tbook\n"
+                       "Read the book.\t0.9\tViable\t-\n")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, str(tmp_path / "pr.csv"), "--fixture", str(fixture)])
+    assert capsys.readouterr().out == ""
+    assert err.value.code == (f"error: {fixture}: recall undefined: "
+                              "no gold-positive rows")
+    assert not (tmp_path / "pr.csv").exists()
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x1c", "\x0c"])

@@ -148,7 +148,8 @@ def test_proverb_vocabulary(proverb_path):
     assert sorted(vocab.words) == [
         "for", "gander", "good", "goose", "is", "the", "what"]
     assert vocab.total_tokens == 11
-    assert vocab.count_of("good") == 2 and vocab.count_of("gander") == 1
+    assert vocab.counts[vocab.index["good"]] == 2
+    assert vocab.counts[vocab.index["gander"]] == 1
 
 
 def test_vocab_cap_tie_break(proverb_path):

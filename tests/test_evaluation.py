@@ -212,6 +212,7 @@ def test_fixture_bad_sentence_index(tmp_path):
     with pytest.raises(ValueError) as err:
         load_fixture(bad)
     assert str(err.value) == f"{bad}:3: bad sentence index 'x'"
+    assert (err.value.path, err.value.lineno) == (str(bad), 3)
 
 
 def test_fixture_confusion_totals():

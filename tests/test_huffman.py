@@ -48,7 +48,7 @@ def optimal_weighted_length(weights):
 def test_two_word_codes():
     tree = build_huffman_tree(vocab_from_counts({"a": 3, "b": 1}))
     assert all(len(code) == 1 for code in tree.codes)
-    assert tree.n_internal == 1
+    assert tree.nodes.tolist() == [0, 0]  # one internal node, the root
     assert tree.codes[0] != tree.codes[1]
 
 
@@ -62,7 +62,7 @@ def test_eleven_equal_frequency_words():
 def test_textbook_frequencies():
     vocab = vocab_from_counts({"a": 4, "b": 2, "c": 1, "d": 1})
     tree = build_huffman_tree(vocab)
-    lengths = {word: len(tree.codes[vocab.id_of(word)])
+    lengths = {word: len(tree.codes[vocab.index[word]])
                for word in vocab.words}
     assert lengths == {"a": 1, "b": 2, "c": 3, "d": 3}
 
@@ -83,10 +83,11 @@ def test_paths_match_codes():
     counts = {f"w{i}": (i % 3) + 1 for i in range(7)}
     tree = build_huffman_tree(vocab_from_counts(counts))
     assert all(len(c) == len(p) for c, p in zip(tree.codes, tree.paths))
-    assert all(0 <= node < tree.n_internal
+    internal_nodes = len(counts) - 1
+    assert all(0 <= node < internal_nodes
                for path in tree.paths for node in path)
     # every path starts at the root (the last internal node created)
-    root = tree.n_internal - 1
+    root = internal_nodes - 1
     assert all(path[0] == root for path in tree.paths)
 
 

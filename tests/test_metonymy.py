@@ -6,13 +6,19 @@ from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, MAX_GAP, PARTICLES,
                               CandidateSentence, VerbObject,
                               find_targets, harvest_candidates, index_corpus,
                               load_gold_targets, object_np_after,
-                              validate_direct_object, _governed_pairs)
+                              _governed_pairs)
 
 from conftest import write_vertical
 
 
 def sent(*triples, doc_id="d", index=0):
     return Sentence(*zip(*triples), doc_id, index)
+
+
+def governed(sentence):
+    """(verb_position, np_span) of each pair ``index_corpus`` finds."""
+    return {(pair.verb_position, pair.np_span)
+            for pair in index_corpus([sentence]).pairs}
 
 
 BEGIN_CHAPTER = [
@@ -85,19 +91,19 @@ def test_object_np_gap_too_long():
 def test_validate_two_token_gap():
     s = sent(("finish", "finish", "VERB"), ("the", "the", "DET"),
              ("last", "last", "ADJ"), ("packet", "packet", "NOUN"))
-    assert validate_direct_object(s, 0, (3, 4))
+    assert governed(s) == {(0, (3, 4))}
 
 
 def test_validate_punct_blocks():
     s = sent(("began", "begin", "VERB"), (",", ",", "PUNCT"),
              ("the", "the", "DET"), ("man", "man", "NOUN"))
-    assert not validate_direct_object(s, 0, (3, 4))
+    assert governed(s) == set()
 
 
 def test_validate_particle_allowed():
     s = sent(("take", "take", "VERB"), ("in", "in", "PREP"),
              ("the", "the", "DET"), ("scene", "scene", "NOUN"))
-    assert validate_direct_object(s, 0, (3, 4))
+    assert governed(s) == {(0, (3, 4))}
     span, head = object_np_after(s, 0)
     assert head == "scene"
 
@@ -105,14 +111,14 @@ def test_validate_particle_allowed():
 def test_validate_non_particle_prep_blocks():
     s = sent(("look", "look", "VERB"), ("at", "at", "PREP"),
              ("the", "the", "DET"), ("view", "view", "NOUN"))
-    assert not validate_direct_object(s, 0, (3, 4))
+    assert governed(s) == set()
     assert object_np_after(s, 0) is None
 
 
 def test_validate_bad_span():
+    # the verb governs the noun; no other position or span is a pair
     s = sent(("begin", "begin", "VERB"), ("work", "work", "NOUN"))
-    assert not validate_direct_object(s, 1, (0, 1))
-    assert not validate_direct_object(s, 0, (5, 6))
+    assert governed(s) == {(0, (1, 2))}
 
 
 def test_harvest_candidates(tmp_path):
@@ -150,13 +156,12 @@ def test_default_verb_specs():
 def test_validate_checks_verb_and_whole_span():
     # position 0 is a noun and the span is empty
     s = sent(("book", "book", "NOUN"), ("read", "read", "VERB"))
-    assert not validate_direct_object(s, 0, (1, 1))
+    assert governed(s) == set()
     # position 2 is a noun and the span holds a VERB and a PRON
     s = sent(("begin", "begin", "VERB"), ("the", "the", "DET"),
              ("book", "book", "NOUN"), ("read", "read", "VERB"),
              ("it", "it", "PRON"), ("book", "book", "NOUN"))
-    assert not validate_direct_object(s, 2, (2, 6))
-    assert validate_direct_object(s, 0, (2, 3))
+    assert governed(s) == {(0, (2, 3))}
 
 
 def test_targets_validate_their_own_pairs(tmp_path):
@@ -164,13 +169,14 @@ def test_targets_validate_their_own_pairs(tmp_path):
     corp = load_corpus(path, "vertical")
     for t in find_targets(corp):
         sentence = next(s for s in corp if s.ref == t.sentence_ref)
-        assert validate_direct_object(sentence, t.verb_position, t.np_span)
+        assert (t.verb_position, t.np_span) in governed(sentence)
 
 
 def brute_force_pairs(sentence):
     """Independent enumeration of validated (verb, NP) pairs."""
     found = []
     tags = sentence.tags
+    pairs = governed(sentence)
     for vp, tag in enumerate(tags):
         if tag != "VERB":
             continue
@@ -182,7 +188,7 @@ def brute_force_pairs(sentence):
             end = start
             while end < len(tags) and tags[end] == "NOUN":
                 end += 1
-            if validate_direct_object(sentence, vp, (start, end)):
+            if (vp, (start, end)) in pairs:
                 found.append((vp, (start, end), sentence.lemmas[end - 1]))
             break
     return found
@@ -380,25 +386,13 @@ grammar_tokens = st.sampled_from([
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(grammar_tokens, min_size=1, max_size=12),
-       st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)),
-                max_size=6))
-def test_grammar_matches_reference(tokens, spans):
+@given(st.lists(grammar_tokens, min_size=1, max_size=12))
+def test_grammar_matches_reference(tokens):
     sentence = sent(*((lemma, lemma, pos) for lemma, pos in tokens))
-    n = len(tokens)
     pairs = reference_governed_pairs(sentence)
-    governed = {(pos, span) for pos, span, _ in pairs}
-    for verb_position in range(n):
+    for verb_position in range(len(tokens)):
         assert object_np_after(sentence, verb_position) \
             == reference_object_np_after(sentence, verb_position)
-        # every span, empty and out of range ones too
-        for start in range(-1, n + 2):
-            for end in range(start, n + 2):
-                assert validate_direct_object(sentence, verb_position,
-                                              (start, end)) \
-                    == ((verb_position, (start, end)) in governed)
-    for verb_position in range(-1, n + 1):
-        for span in spans:
-            assert validate_direct_object(sentence, verb_position, span) \
-                == ((verb_position, span) in governed)
+    assert [(pair.verb_position, pair.np_span, pair.np_head_lemma)
+            for pair in index_corpus([sentence]).pairs] == pairs
     assert list(_governed_pairs(sentence)) == pairs

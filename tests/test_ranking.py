@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from metovec.metonymy import CandidateSentence
 from metovec.ranking import (DISCARDED, DISCARD_THRESHOLD, NOT_IN_VOCAB,
                              REJECTED, VIABLE, VIABLE_THRESHOLD, label_for,
-                             rank, score_candidate, write_table)
-from metovec.vectorspace import confidence, phrase_vector
+                             rank, write_table)
+from metovec.vectorspace import confidence_scores, phrase_vector
 
 from conftest import make_model
 
@@ -60,26 +60,27 @@ def test_label_partition_property():
 
 def test_identical_verb_scores_one():
     model = angle_model(0.75)
-    assert score_candidate(model, target(), candidate("begin")) \
+    assert rank(model, target(), [candidate("begin")]).rows[0].confidence \
         == pytest.approx(1.0)
 
 
 def test_hand_built_viable_score():
     model = angle_model(0.75)
-    score = score_candidate(model, target(), candidate("read"))
-    assert score == pytest.approx(0.75)
-    assert label_for(score) == VIABLE
+    row = rank(model, target(), [candidate("read")]).rows[0]
+    assert row.confidence == pytest.approx(0.75)
+    assert row.label == label_for(row.confidence) == VIABLE
 
 
 def test_oov_candidate_verb():
     model = angle_model(0.75)
-    assert score_candidate(model, target(), candidate("peruse")) is None
+    row = rank(model, target(), [candidate("peruse")]).rows[0]
+    assert row.confidence is None and row.label == NOT_IN_VOCAB
 
 
 def test_head_mismatch_errors():
     model = angle_model(0.75)
     with pytest.raises(ValueError):
-        score_candidate(model, target(), candidate("read", head="book"))
+        rank(model, target(), [candidate("read", head="book")])
 
 
 def test_rank_orders_and_labels():
@@ -94,7 +95,7 @@ def test_rank_orders_and_labels():
                  [candidate(v) for v in ("burn", "skim", "read", "peruse")])
     labels = [(r.candidate.verb_lemma, r.label) for r in table.rows]
     assert labels[-1] == ("peruse", NOT_IN_VOCAB)
-    scored = [r for r in table.rows if r.scored]
+    scored = [r for r in table.rows if r.confidence is not None]
     confidences = [r.confidence for r in scored]
     assert confidences == sorted(confidences, reverse=True)
     assert scored[0].candidate.verb_lemma == "read"
@@ -112,7 +113,7 @@ def test_rank_matches_per_row_scores():
     assert sorted(r.candidate.verb_lemma for r in table.rows) == sorted(verbs)
     for row in table.rows:
         assert row.confidence \
-            == score_candidate(model, target("v0"), row.candidate)
+            == rank(model, target("v0"), [row.candidate]).rows[0].confidence
 
 
 def test_rank_head_mismatch_errors():
@@ -170,7 +171,8 @@ def test_confidence_never_exceeds_one():
     model = make_model(words)
     table = rank(model, target("v0"),
                  [candidate(f"v{i}") for i in range(1, 6)])
-    assert all(r.confidence <= 1.0 for r in table.rows if r.scored)
+    assert all(r.confidence <= 1.0 for r in table.rows
+               if r.confidence is not None)
     # candidate verbs parallel to the target verb, with a zero head vector:
     # every phrase pair is parallel, and cosines round up past 1 often
     direction = rng.normal(size=3)
@@ -192,7 +194,8 @@ def test_rank_matches_per_row_scores_over_vocabularies(
         present, verbs, exponents, seed):
     """Any of the target verb, the head and the candidate verbs may be
     out of vocabulary; vectors scaled by 2**+-900 take the rescale path.
-    Each row equals score_candidate and the joint-phrase definition: NIV
+    Each row equals its candidate ranked alone and the joint-phrase
+    definition, the clamped cosine of the two phrase vectors: NIV
     for an out-of-vocab candidate verb or an all-out target phrase, and
     the verb alone when the head is out."""
     rng = np.random.default_rng(seed)
@@ -206,14 +209,14 @@ def test_rank_matches_per_row_scores_over_vocabularies(
     target_phrase = phrase_vector(model, ["begin", "chapter"])
     for row in table.rows:
         verb = row.candidate.verb_lemma
-        assert row.confidence == score_candidate(model, target(),
-                                                 row.candidate)
+        assert row.confidence \
+            == rank(model, target(), [row.candidate]).rows[0].confidence
         if verb not in model.vocab or not target_phrase.in_vocabulary:
             assert row.confidence is None and row.label == NOT_IN_VOCAB
         else:
             phrase = phrase_vector(model, [verb, "chapter"])
-            assert row.confidence \
-                == confidence(phrase.vector, target_phrase.vector)
+            assert row.confidence == confidence_scores(
+                [phrase.vector], target_phrase.vector)[0]
 
 
 @pytest.mark.parametrize("vectors", [
@@ -225,6 +228,6 @@ def test_zero_norm_phrase_raises(vectors):
     in a table."""
     model = make_model(vectors)
     with pytest.raises(ValueError, match="zero-norm"):
-        score_candidate(model, target(), candidate("read"))
+        rank(model, target(), [candidate("read")])
     with pytest.raises(ValueError, match="zero-norm"):
         rank(model, target(), [candidate("peruse"), candidate("read")])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from metovec.embeddings import NotInVocabularyError
-from metovec.vectorspace import (analogy, confidence, cosine_similarity,
-                                 nearest_neighbours, phrase_vector)
+from metovec.vectorspace import (analogy, confidence_scores,
+                                 cosine_similarity, nearest_neighbours,
+                                 phrase_vector)
 
 from conftest import make_model
 
@@ -73,9 +74,9 @@ def test_cosine_power_of_two_scale_invariant(a, b, k):
 
 
 def test_confidence_clamps():
-    assert confidence([1, 0], [-1, 0]) == 0.0
-    assert confidence([1, 0], [0, 1]) == 0.0
-    assert confidence([2, 2], [1, 1]) == pytest.approx(1.0)
+    assert confidence_scores([[1, 0]], [-1, 0])[0] == 0.0
+    assert confidence_scores([[1, 0]], [0, 1])[0] == 0.0
+    assert confidence_scores([[2, 2]], [1, 1])[0] == pytest.approx(1.0)
 
 
 GRID = {
@@ -190,7 +191,7 @@ def test_similarity_matches_math():
     a, b = [3.0, 4.0], [4.0, 3.0]
     expected = (3 * 4 + 4 * 3) / (5 * 5)
     assert cosine_similarity(a, b) == pytest.approx(expected)
-    assert math.isclose(confidence(a, b), expected)
+    assert math.isclose(confidence_scores([a], b)[0], expected)
 
 
 @st.composite
@@ -242,5 +243,6 @@ def test_confidence_of_parallel_vectors_at_most_one():
     """(a, 3a) has cosine 1 up to rounding, which often lands above 1;
     the clamp keeps every score at most 1."""
     rng = np.random.default_rng(3)
-    scores = [confidence(a, 3 * a) for a in rng.normal(size=(2000, 5))]
+    scores = [confidence_scores([a], 3 * a)[0]
+              for a in rng.normal(size=(2000, 5))]
     assert max(scores) == 1.0 and min(scores) > 1.0 - 1e-15
