@@ -13,8 +13,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import evaluation, metonymy, ranking
 from .embeddings import (CBOW, SKIPGRAM, TRAINING_TYPES, TrainingConfig,
-                         TrainStats, check_config, is_json_type, load_model,
-                         save_model, train)
+                         TrainStats, check_config, load_model, save_model,
+                         train)
 from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
@@ -28,22 +28,12 @@ class PipelineConfig:
     test_corpus: str | None = None
     corpus_format: str = "vertical"
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    discard_threshold: float = ranking.DISCARD_THRESHOLD
-    viable_threshold: float = ranking.VIABLE_THRESHOLD
     gold_targets: str | None = None
     output_dir: str = "."
-    verbs: list = field(default_factory=lambda: [
-        [spec.lemma, spec.eventhood, spec.category]
-        for spec in metonymy.DEFAULT_VERBS])
 
     def __post_init__(self):
         if self.corpus_format not in FORMATS:
             raise ValueError(f"unknown corpus format {self.corpus_format!r}")
-        if not 0 <= self.discard_threshold < self.viable_threshold <= 1:
-            raise ValueError("need 0 <= discard < viable <= 1")
-
-    def verb_specs(self):
-        return tuple(metonymy.VerbSpec(l, e, c) for l, e, c in self.verbs)
 
 
 # the type of each key of a config file: the pipeline keys and, flat next
@@ -55,12 +45,13 @@ KEY_TYPES = {key: hint for key, hint
 
 def _read_config_file(path) -> dict:
     """The JSON object in ``path``; a located ValueError when the file is
-    not UTF-8 JSON, fails ``check_config`` or holds a malformed ``verbs``
-    entry.
+    not UTF-8 JSON or fails ``check_config``.  A leading byte order mark is
+    skipped; it is decoded first, so a bad byte's offset counts from the
+    file's start.
     """
     with open(path, encoding="utf-8") as handle:
         try:
-            values = json.load(handle)
+            values = json.loads(handle.read().removeprefix("\ufeff"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: malformed "
                              f"JSON: {exc.msg}") from None
@@ -68,11 +59,6 @@ def _read_config_file(path) -> dict:
             raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
                              f"{exc.reason}") from None
     check_config(values, KEY_TYPES, path)
-    for n, entry in enumerate(values.get("verbs", ())):
-        if not (isinstance(entry, list) and len(entry) == 3
-                and all(map(is_json_type, entry, (str, float, str)))):
-            raise ValueError(f"{path}: config key 'verbs' entry {n} must be "
-                             f"[lemma, eventhood, category], not {entry!r}")
     return values
 
 
@@ -160,7 +146,7 @@ def cmd_query(args, config):
 
 def cmd_targets(args, config):
     corp = _load(config.test_corpus, config.corpus_format)
-    targets = metonymy.find_targets(corp, config.verb_specs())
+    targets = metonymy.find_targets(corp)
     for t in targets:
         doc_id, index = t.sentence_ref
         print(f"{doc_id}\t{index}\t{t.verb_lemma}\t{t.np_head_lemma}")
@@ -174,8 +160,8 @@ def cmd_paraphrase(args, config):
     if config.gold_targets:
         targets = metonymy.load_gold_targets(config.gold_targets, index)
     else:
-        targets = metonymy.find_targets(index, config.verb_specs())
-    excluded = {spec.lemma for spec in config.verb_specs()}
+        targets = metonymy.find_targets(index)
+    excluded = {spec.lemma for spec in metonymy.DEFAULT_VERBS}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # a table's name is its target's position: a corpus lemma in it could
@@ -184,9 +170,7 @@ def cmd_paraphrase(args, config):
     for n, target in enumerate(targets, 1):
         candidates = metonymy.harvest_candidates(
             index, target.np_head_lemma, excluded)
-        table = ranking.rank(model, target, candidates,
-                             config.discard_threshold,
-                             config.viable_threshold)
+        table = ranking.rank(model, target, candidates)
         path = outdir / f"target-{n}.tsv"
         with open(path, "w", encoding="utf-8") as out:
             ranking.write_table(table, out)
@@ -237,12 +221,6 @@ def cmd_eval(args, config):
     if args.pr_csv:
         _write_pr_csv(points, args.pr_csv)
         print(f"wrote {args.pr_csv}")
-
-
-def cmd_prcurve(args, config):
-    points = _pr_points(args, evaluation.load_fixture(args.fixture))
-    _write_pr_csv(points, args.output)
-    print(f"wrote {args.output}")
 
 
 def _write_pr_csv(points, path):
@@ -306,13 +284,9 @@ def build_parser():
                         "(default: packaged result tables)")
     p.add_argument("--unscored", choices=["exclude", "true-negative"],
                    default="exclude")
-    p.add_argument("--pr-csv", dest="pr_csv")
+    p.add_argument("--pr-csv", dest="pr_csv",
+                   help="also write the PR curve as rank,precision,recall CSV")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("prcurve", help="write rank,precision,recall CSV")
-    p.add_argument("--fixture", default=None)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_prcurve)
 
     return parser
 

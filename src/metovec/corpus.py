@@ -23,6 +23,15 @@ class CorpusFormatError(ValueError):
         self.lineno = lineno
 
 
+def sentence_index(path, lineno, field) -> int:
+    """The sentence index ``field`` of line ``lineno`` of ``path``: ASCII
+    digits only, as ``targets`` and ``write_table`` write it, so a sign,
+    a space, an underscore or a non-ASCII digit is a CorpusFormatError."""
+    if not (field.isascii() and field.isdigit()):
+        raise CorpusFormatError(path, lineno, f"bad sentence index {field!r}")
+    return int(field)
+
+
 def numbered_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
     counting from 1, its end removed.  A leading byte order mark is skipped.

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import CorpusFormatError, numbered_lines
+from .corpus import CorpusFormatError, numbered_lines, sentence_index
 from .ranking import DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE
 
 FIXTURE_RESOURCE = "reference_rankings.tsv"
@@ -188,11 +188,7 @@ def load_fixture(path=None) -> Fixture:
             continue
         fields = line.split("\t")
         if fields[0] == "#target" and len(fields) == 5:
-            try:
-                index = int(fields[2])
-            except ValueError:
-                raise CorpusFormatError(path, lineno, "bad sentence index "
-                                        f"{fields[2]!r}") from None
+            index = sentence_index(path, lineno, fields[2])
             current = FixtureTarget(fields[1], index, fields[3], fields[4])
             targets.append(current)
             continue

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import CorpusFormatError, Sentence, numbered_lines
+from .corpus import (CorpusFormatError, Sentence, numbered_lines,
+                     sentence_index)
 
 # tokens allowed between the verb and the first noun of its object NP
 GAP_TAGS = frozenset({"DET", "ADJ", "ADV", "NUM"})
@@ -177,11 +178,7 @@ def load_gold_targets(path, corpus) -> list[VerbObject]:
                 path, lineno,
                 f"expected 4 tab-separated fields, got {len(fields)}")
         doc_id, index_str, verb, np_head = fields
-        try:
-            index = int(index_str)
-        except ValueError:
-            raise CorpusFormatError(
-                path, lineno, f"bad sentence index {index_str!r}") from None
+        index = sentence_index(path, lineno, index_str)
         pairs = by_ref.get((doc_id, index))
         if pairs is None:
             raise CorpusFormatError(

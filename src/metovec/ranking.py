@@ -16,13 +16,12 @@ DISCARDED = "Discarded"
 NOT_IN_VOCAB = "NotInVocabulary"
 
 
-def label_for(score: float, discard=DISCARD_THRESHOLD,
-              viable=VIABLE_THRESHOLD) -> str:
-    """Viable strictly above ``viable``, Discarded strictly below
-    ``discard``, Rejected on the closed band in between."""
-    if score > viable:
+def label_for(score: float) -> str:
+    """Viable strictly above ``VIABLE_THRESHOLD``, Discarded strictly below
+    ``DISCARD_THRESHOLD``, Rejected on the closed band in between."""
+    if score > VIABLE_THRESHOLD:
         return VIABLE
-    if score < discard:
+    if score < DISCARD_THRESHOLD:
         return DISCARDED
     return REJECTED
 
@@ -47,8 +46,7 @@ def _check_head(target: VerbObject, candidate: VerbObject):
             f"target NP head {target.np_head_lemma!r}")
 
 
-def rank(model, target: VerbObject, candidates,
-         discard=DISCARD_THRESHOLD, viable=VIABLE_THRESHOLD) -> RankingTable:
+def rank(model, target: VerbObject, candidates) -> RankingTable:
     """Score and label all candidates; sort by confidence descending with
     ties broken by verb lemma, NotInVocabulary rows last.
 
@@ -73,8 +71,7 @@ def rank(model, target: VerbObject, candidates,
     rows = []
     for candidate in candidates:
         score = scores[candidate.verb_lemma]
-        label = (NOT_IN_VOCAB if score is None
-                 else label_for(score, discard, viable))
+        label = NOT_IN_VOCAB if score is None else label_for(score)
         rows.append(ScoredCandidate(candidate, score, label))
     rows.sort(key=lambda row: (
         row.confidence is None,

@@ -22,6 +22,13 @@ BAD_CONFIG_RANGES = {
     "seed-negative": ({"seed": -1}, "bad config: seed must be >= 0"),
 }
 
+# sentence-index fields by test id: a sentence index is ASCII digits, as
+# `targets` and `write_table` write it, though int() reads most of these
+BAD_SENTENCE_INDICES = {
+    "letter": "x", "empty": "", "minus": "-1", "plus": "+0", "space": " 0",
+    "underscore": "0_0", "arabic-indic-zero": "\u0660",
+}
+
 
 @pytest.fixture
 def proverb_path(tmp_path):

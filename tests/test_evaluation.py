@@ -12,6 +12,8 @@ from metovec.metonymy import VerbObject
 from metovec.ranking import (DISCARDED, NOT_IN_VOCAB, REJECTED, VIABLE,
                              RankingTable, ScoredCandidate, write_table)
 
+from conftest import BAD_SENTENCE_INDICES
+
 counts = st.integers(min_value=0, max_value=500)
 
 
@@ -204,14 +206,16 @@ def test_fixture_parse_errors(tmp_path):
         load_fixture(bad)
 
 
-def test_fixture_bad_sentence_index(tmp_path):
+@pytest.mark.parametrize("field", BAD_SENTENCE_INDICES.values(),
+                         ids=list(BAD_SENTENCE_INDICES))
+def test_fixture_bad_sentence_index(tmp_path, field):
     bad = tmp_path / "bad.tsv"
     bad.write_text("#target\tdoc\t0\tbegin\tbook\n"
                    "Read the book.\t0.5\tViable\t+\n"
-                   "#target\tdoc\tx\tbegin\tbook\n")
+                   f"#target\tdoc\t{field}\tbegin\tbook\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
         load_fixture(bad)
-    assert str(err.value) == f"{bad}:3: bad sentence index 'x'"
+    assert str(err.value) == f"{bad}:3: bad sentence index {field!r}"
     assert (err.value.path, err.value.lineno) == (str(bad), 3)
 
 

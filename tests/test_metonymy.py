@@ -8,7 +8,7 @@ from metovec.metonymy import (DEFAULT_VERBS, GAP_TAGS, MAX_GAP, PARTICLES,
                               load_gold_targets, object_np_after,
                               _governed_pairs)
 
-from conftest import write_vertical
+from conftest import BAD_SENTENCE_INDICES, write_vertical
 
 
 def sent(*triples, doc_id="d", index=0):
@@ -332,6 +332,20 @@ def test_load_gold_targets_malformed(tmp_path):
     gold.write_text("d\t0\tbegin\n")
     with pytest.raises(CorpusFormatError):
         load_gold_targets(gold, corp)
+
+
+@pytest.mark.parametrize("field", BAD_SENTENCE_INDICES.values(),
+                         ids=list(BAD_SENTENCE_INDICES))
+def test_load_gold_targets_bad_sentence_index(tmp_path, field):
+    path = write_vertical(tmp_path / "c.vert", [BEGIN_CHAPTER])
+    corp = load_corpus(path, "vertical")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("doc1\t0\tbegin\tchapter\n"
+                    f"doc1\t{field}\tbegin\tchapter\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_gold_targets(gold, corp)
+    assert str(err.value) == f"{gold}:2: bad sentence index {field!r}"
+    assert err.value.lineno == 2
 
 
 def test_gap_tags_stable():
