@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import typing
 from dataclasses import dataclass, field, replace
@@ -298,6 +299,14 @@ def main(argv=None):
     overrides = {k: v for k, v in vars(args).items() if k in KEY_TYPES}
     try:
         args.func(args, load_config(args.config, overrides))
+        sys.stdout.flush()  # so that a closed pipe shows here
+    except BrokenPipeError:
+        # the reader left, as `| head` does: exit as a filter killed by
+        # SIGPIPE would (128 + 13), and send the interpreter's own flush at
+        # shutdown to /dev/null rather than to the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(141)
     except (OSError, ValueError, KeyError,
             evaluation.UndefinedMetricError) as exc:
         raise SystemExit(f"error: {exc}")

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metovec
 from metovec.cli import PipelineConfig, load_config, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
@@ -282,6 +287,28 @@ def test_cmd_targets(chapter_corpus, capsys):
     main(["targets", "--corpus", str(chapter_corpus)])
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["doc1\t0\tbegin\tchapter"]
+
+
+def test_cmd_targets_into_a_closed_pipe(tmp_path):
+    """A reader that stops early, as `| head -1` does, ends `targets` as
+    SIGPIPE ends a filter: status 141 (128 + SIGPIPE), no error line and
+    no "Exception ignored" at shutdown.  The 2 MB of target lines outgrow
+    the pipe's buffer, so writes still follow the close."""
+    corpus = write_vertical(tmp_path / "c.vert", CHAPTER_SENTENCES[:1] * 1000,
+                            doc_id="d" * 2000)
+    source = str(Path(metovec.__file__).resolve().parent.parent)
+    environ = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with subprocess.Popen(
+            [sys.executable, "-m", "metovec.cli", "targets",
+             "--corpus", str(corpus)], env=environ,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        assert process.stdout.readline() == (
+            b"d" * 2000 + b"\t0\tbegin\tchapter\n")
+        process.stdout.close()
+        stderr = process.stderr.read()
+    assert stderr == b""
+    assert process.returncode == 141
 
 
 def test_cmd_query_k_below_one(trained_model, capsys):

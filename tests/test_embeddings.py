@@ -1,18 +1,23 @@
+import ctypes
 import functools
 import io
 import json
 import math
 import re
+import struct
 import subprocess
 import tempfile
 import time
 import tracemalloc
+import zipfile
+import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from metovec import _hs, embeddings
 from metovec.cli import main
@@ -699,9 +704,63 @@ def small_archive() -> bytes:
     return saved_bytes(SMALL_MODEL)
 
 
-@settings(max_examples=100, deadline=None)
+def libdeflate_crc32():
+    """The CRC-32 function that ``load_model`` chose, which is
+    libdeflate's wherever ``libdeflate.so.0`` loads."""
+    crc32 = embeddings._crc32()
+    if crc32 is zlib.crc32:
+        pytest.skip("libdeflate.so.0 does not load")
+    return crc32
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def crc32(request, monkeypatch):
+    """Each ``load_model`` in the test checks CRC-32s with libdeflate's
+    function or with ``zlib.crc32``, forced in the cached chooser's place.
+    A patch that stays for all of a hypothesis test's examples is safe."""
+    if request.param == "libdeflate":
+        libdeflate_crc32()  # skips where libdeflate.so.0 does not load
+    else:
+        monkeypatch.setattr(embeddings, "_crc32", lambda: zlib.crc32)
+
+
+# the crc32 fixture is function-scoped: hypothesis would flag it
+CORRUPT_ARCHIVE_SETTINGS = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary())
+@example(b"")
+def test_libdeflate_crc32_is_zlibs(data):
+    assert libdeflate_crc32()(np.frombuffer(data, np.uint8)) == \
+        zlib.crc32(data)
+
+
+@pytest.mark.parametrize("library", ["missing", "without-symbol"])
+def test_crc32_falls_back_to_zlib(monkeypatch, library):
+    """Where ``libdeflate.so.0`` or its ``libdeflate_crc32`` does not load,
+    ``load_model`` checks CRC-32s with ``zlib.crc32``, as before."""
+    def cdll(name):
+        if library == "missing":
+            raise OSError(f"{name}: cannot open shared object file")
+        return object()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    embeddings._crc32.cache_clear()
+    try:
+        assert embeddings._crc32() is zlib.crc32
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model"
+            path.write_bytes(small_archive())
+            assert load_model(path).vocab == SMALL_MODEL.vocab
+    finally:
+        embeddings._crc32.cache_clear()
+
+
+@CORRUPT_ARCHIVE_SETTINGS
 @given(st.data())
-def test_cut_binary_model_is_located(data):
+def test_cut_binary_model_is_located(crc32, data):
     archive = small_archive()
     cut = data.draw(st.integers(0, len(archive) - 1), label="cut")
     with tempfile.TemporaryDirectory() as tmp:
@@ -712,9 +771,9 @@ def test_cut_binary_model_is_located(data):
     assert str(err.value).startswith(f"{path}:")
 
 
-@settings(max_examples=100, deadline=None)
+@CORRUPT_ARCHIVE_SETTINGS
 @given(st.data())
-def test_flipped_bit_in_binary_model_is_located(data):
+def test_flipped_bit_in_binary_model_is_located(crc32, data):
     """Any one flipped bit gives the same model (the zip does not check
     every field it reads) or a ValueError naming the file, never another
     exception."""
@@ -733,7 +792,7 @@ def test_flipped_bit_in_binary_model_is_located(data):
     assert np.array_equal(loaded.input_vectors, SMALL_MODEL.input_vectors)
 
 
-def test_flipped_bit_in_large_member_header_is_located(tmp_path):
+def test_flipped_bit_in_large_member_header_is_located(tmp_path, crc32):
     """zipfile checks a member's CRC-32 once its reads reach the member's
     end, which for a member over 4 KiB came after numpy had parsed the .npy
     header: a flipped bit there raised tokenize.TokenError."""
@@ -749,6 +808,50 @@ def test_flipped_bit_in_large_member_header_is_located(tmp_path):
         load_model(path)
     assert str(err.value) == (f"{path}: bad model archive: Bad CRC-32 for "
                               "file 'inputs.npy'")
+
+
+@pytest.fixture(scope="module")
+def full_size_model(tmp_path_factory):
+    """A V=10,000, D=100 model of random vectors and nodes, saved: each of
+    its two 8 MB matrices is read into a mapping of its own."""
+    rng = np.random.default_rng(0)
+    model = make_model({f"w{i}": row for i, row in
+                        enumerate(rng.normal(size=(10_000, 100)))})
+    model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
+    path = tmp_path_factory.mktemp("full-size") / "model"
+    save_model(model, path)
+    return model, path
+
+
+def test_full_size_model_round_trip(full_size_model, crc32):
+    """The zip's CRC-32s, written by zlib, match the chosen function's over
+    8 MB of random bytes in a member's own mapping."""
+    model, path = full_size_model
+    loaded = load_model(path)
+    assert loaded.node_vectors.nbytes >= embeddings._OWN_MAPPING_BYTES
+    assert np.array_equal(loaded.input_vectors, model.input_vectors)
+    assert np.array_equal(loaded.node_vectors, model.node_vectors)
+
+
+@pytest.mark.parametrize("member", ["inputs.npy", "nodes.npy"])
+def test_flipped_bit_in_full_size_member_is_located(full_size_model, crc32,
+                                                    member, tmp_path):
+    """A flipped bit in the middle of a member read into its own mapping."""
+    archive = bytearray(full_size_model[1].read_bytes())
+    with zipfile.ZipFile(io.BytesIO(archive)) as zipped:
+        info = zipped.getinfo(member)
+    # the local header: 30 bytes, then the member's name and extra field
+    name_size, extra_size = struct.unpack_from("<HH", archive,
+                                               info.header_offset + 26)
+    start = info.header_offset + 30 + name_size + extra_size
+    assert info.file_size >= embeddings._OWN_MAPPING_BYTES
+    archive[start + info.file_size // 2] ^= 1
+    path = tmp_path / "model"
+    path.write_bytes(archive)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: bad model archive: Bad CRC-32 for "
+                              f"file {member!r}")
 
 
 @pytest.mark.parametrize("offset, bit", [(6, 7), (8, 0), (10, 0), (-3, 7)],
