@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, metonymy, ranking
-from .embeddings import (CBOW, SKIPGRAM, TRAINING_TYPES, TrainingConfig,
-                         TrainStats, check_config, load_model, save_model,
-                         train)
+from .embeddings import (CBOW, SKIPGRAM, TrainingConfig, TrainStats,
+                         load_model, save_model, train)
 from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
@@ -23,106 +20,41 @@ log = logging.getLogger(__name__)
 FORMATS = ["vertical", "plain"]
 
 
-@dataclass
-class PipelineConfig:
-    train_corpus: str | None = None
-    test_corpus: str | None = None
-    corpus_format: str = "vertical"
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    gold_targets: str | None = None
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.corpus_format not in FORMATS:
-            raise ValueError(f"unknown corpus format {self.corpus_format!r}")
+def _training_config(args) -> TrainingConfig:
+    """The ``TrainingConfig`` of the training flags given; a flag left out,
+    or one the command does not take, keeps the field's default."""
+    return TrainingConfig(**{
+        field.name: getattr(args, field.name)
+        for field in fields(TrainingConfig)
+        if getattr(args, field.name, None) is not None})
 
 
-# the type of each key of a config file: the pipeline keys and, flat next
-# to them, the training keys
-KEY_TYPES = {key: hint for key, hint
-             in typing.get_type_hints(PipelineConfig).items()
-             if key != "training"} | TRAINING_TYPES
-
-
-def _read_config_file(path) -> dict:
-    """The JSON object in ``path``; a located ValueError when the file is
-    not UTF-8 JSON or fails ``check_config``.  A leading byte order mark is
-    skipped; it is decoded first, so a bad byte's offset counts from the
-    file's start.
-    """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            values = json.loads(handle.read().removeprefix("\ufeff"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: malformed "
-                             f"JSON: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
-                             f"{exc.reason}") from None
-    check_config(values, KEY_TYPES, path)
-    return values
-
-
-def load_config(path=None, overrides=None) -> PipelineConfig:
-    """Config file (JSON), then flag overrides; flags win.
-
-    Training keys (``mode``, ``dim``, ...) are flat, next to the pipeline
-    keys, and go to ``PipelineConfig.training``.  The file's values are
-    checked first, so an out-of-range value in it fails as
-    ``path: bad config: ...``, as in a model archive.
-    """
-    config = PipelineConfig()
-    if path:
-        values = _read_config_file(path)
-        try:
-            config = _updated(config, values)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad config: {exc}") from None
-    flags = {key: value for key, value in (overrides or {}).items()
-             if value is not None}
-    check_config(flags, KEY_TYPES)
-    return _updated(config, flags)
-
-
-def _updated(config, values) -> PipelineConfig:
-    """``config`` with the keys of ``values`` replaced; the dataclasses
-    check the ranges."""
-    training = {key: values.pop(key) for key in values.keys() & TRAINING_TYPES}
-    return replace(config, training=replace(config.training, **training),
-                   **values)
-
-
-def _load(path, fmt):
-    if path is None:
-        raise SystemExit("error: no corpus path configured")
-    return corpus_mod.load_corpus(path, fmt)
-
-
-def cmd_vocab(args, config):
-    corp = _load(config.train_corpus, config.corpus_format)
-    vocab = corpus_mod.build_vocabulary(
-        corp, config.training.max_vocab, config.training.min_count)
+def cmd_vocab(args):
+    config = _training_config(args)
+    corp = corpus_mod.load_corpus(args.corpus, args.format)
+    vocab = corpus_mod.build_vocabulary(corp, config.max_vocab,
+                                        config.min_count)
     with open(args.output, "w", encoding="utf-8") as out:
         for word, count in zip(vocab.words, vocab.counts):
             out.write(f"{word}\t{count}\n")
     print(f"wrote {len(vocab)} words to {args.output}")
 
 
-def cmd_train(args, config):
-    corp = _load(config.train_corpus, config.corpus_format)
+def cmd_train(args):
+    config = _training_config(args)
+    corp = corpus_mod.load_corpus(args.corpus, args.format)
     stats = TrainStats()
-    model = train(corp, config.training, stats=stats)
+    model = train(corp, config, stats=stats)
     save_model(model, args.output)
-    print(f"trained {config.training.mode} model (V={len(model.vocab)}, "
-          f"D={config.training.dim}, seed={config.training.seed}): "
-          f"{args.output}")
+    print(f"trained {config.mode} model (V={len(model.vocab)}, "
+          f"D={config.dim}, seed={config.seed}): {args.output}")
     print(f"examples={stats.examples} skipped={stats.skipped}")
 
 
 QUERY_WORDS = {"similarity": 2, "neighbors": 1, "analogy": 3}
 
 
-def cmd_query(args, config):
+def cmd_query(args):
     wanted = QUERY_WORDS[args.subcommand]
     if len(args.words) != wanted:
         raise ValueError(f"query {args.subcommand} takes {wanted} "
@@ -145,8 +77,8 @@ def cmd_query(args, config):
             print(f"{neighbour}\t{score:.5f}")
 
 
-def cmd_targets(args, config):
-    corp = _load(config.test_corpus, config.corpus_format)
+def cmd_targets(args):
+    corp = corpus_mod.load_corpus(args.corpus, args.format)
     targets = metonymy.find_targets(corp)
     for t in targets:
         doc_id, index = t.sentence_ref
@@ -154,16 +86,16 @@ def cmd_targets(args, config):
     print(f"# {len(targets)} targets", file=sys.stderr)
 
 
-def cmd_paraphrase(args, config):
-    corp = _load(config.test_corpus, config.corpus_format)
+def cmd_paraphrase(args):
+    corp = corpus_mod.load_corpus(args.corpus, args.format)
     model = load_model(args.model)
     index = metonymy.index_corpus(corp)
-    if config.gold_targets:
-        targets = metonymy.load_gold_targets(config.gold_targets, index)
+    if args.gold_targets:
+        targets = metonymy.load_gold_targets(args.gold_targets, index)
     else:
         targets = metonymy.find_targets(index)
     excluded = {spec.lemma for spec in metonymy.DEFAULT_VERBS}
-    outdir = Path(config.output_dir)
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # a table's name is its target's position: a corpus lemma in it could
     # leave the directory or be too long for a file name.  The #target
@@ -202,7 +134,7 @@ def _shown(value, spec=".4f"):
     return "undefined" if value is None else format(value, spec)
 
 
-def cmd_eval(args, config):
+def cmd_eval(args):
     fixture = evaluation.load_fixture(args.fixture)
     # built before the first line is printed, so an undefined curve
     # fails with no output
@@ -231,29 +163,38 @@ def _write_pr_csv(points, path):
             out.write(f"{p.rank},{p.precision:.6f},{p.recall:.6f}\n")
 
 
+def _add_corpus(parser):
+    parser.add_argument("--corpus", required=True)
+    parser.add_argument("--format", choices=FORMATS, default="vertical")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="metovec",
         description="Train word embeddings and rank covert-event "
                     "paraphrases for verbal metonymy.")
-    parser.add_argument("--config", default=None, help="config file (JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a training flag's dest is its TrainingConfig field; left out, it is
+    # None and the field keeps its default
     p = sub.add_parser("vocab", help="write word<TAB>count vocabulary file")
-    p.add_argument("--corpus", dest="train_corpus", metavar="CORPUS")
-    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    _add_corpus(p)
     p.add_argument("--max-vocab", type=int)
     p.add_argument("--min-count", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("train", help="train an embedding model")
-    p.add_argument("--corpus", dest="train_corpus", metavar="CORPUS")
-    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    _add_corpus(p)
     p.add_argument("--mode", choices=[CBOW, SKIPGRAM])
     p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
     p.add_argument("--epochs", type=int)
+    p.add_argument("--lr-start", type=float)
+    p.add_argument("--lr-end", type=float)
     p.add_argument("--seed", type=int)
+    p.add_argument("--min-count", type=int)
+    p.add_argument("--max-vocab", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -265,17 +206,15 @@ def build_parser():
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("targets", help="list metonymy targets in a corpus")
-    p.add_argument("--corpus", dest="test_corpus", metavar="CORPUS")
-    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    _add_corpus(p)
     p.set_defaults(func=cmd_targets)
 
     p = sub.add_parser("paraphrase", help="rank paraphrase candidates "
                                           "for every target")
-    p.add_argument("--corpus", dest="test_corpus", metavar="CORPUS")
-    p.add_argument("--format", choices=FORMATS, dest="corpus_format")
+    _add_corpus(p)
     p.add_argument("--model", required=True)
     p.add_argument("--gold-targets")
-    p.add_argument("--output-dir")
+    p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_paraphrase)
 
     p = sub.add_parser("eval", help="confusion / precision / recall / phi "
@@ -295,10 +234,8 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
-    # an option whose dest is a config key overrides that key
-    overrides = {k: v for k, v in vars(args).items() if k in KEY_TYPES}
     try:
-        args.func(args, load_config(args.config, overrides))
+        args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here
     except BrokenPipeError:
         # the reader left, as `| head` does: exit as a filter killed by
@@ -307,7 +244,7 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         raise SystemExit(141)
-    except (OSError, ValueError, KeyError,
+    except (OSError, MemoryError, ValueError, KeyError,
             evaluation.UndefinedMetricError) as exc:
         raise SystemExit(f"error: {exc}")
     return 0

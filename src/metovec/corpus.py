@@ -216,9 +216,6 @@ class NextWordCounts:
         self.rows = rows
         self.vocab = vocab
 
-    def count(self, focus: str, follower: str) -> int:
-        return self.rows.get(focus, {}).get(follower, 0)
-
     def row_vector(self, focus: str, columns=None) -> list[int]:
         """Dense row over ``columns`` (default: vocabulary, alphabetical)."""
         if columns is None:

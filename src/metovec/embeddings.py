@@ -73,34 +73,28 @@ class TrainingConfig:
             raise ValueError("seed must be >= 0")
 
 
-# the type of each training key of a config JSON object
-TRAINING_TYPES = typing.get_type_hints(TrainingConfig)
-
-
-def check_config(values, types: dict, path=None, required=False):
-    """Check ``values``, a config read from JSON, against ``types``, a type
-    per key, in this order: it is a JSON object, it names no key outside
-    ``types``, it names every key in ``types`` when ``required``, and each
-    of its values has its key's type (see ``is_json_type``).  A failure
-    raises ValueError, prefixed ``path: `` when a path is given.  Ranges
-    are left to the dataclasses' ``__post_init__``."""
-    where = f"{path}: " if path else ""
+def check_config(values, path):
+    """Check ``values``, a model archive's config read from JSON, against
+    ``_CONFIG_TYPES``, in this order: it is a JSON object, it names no
+    other key, it names every key, and each of its values has its key's
+    type (see ``is_json_type``).  A failure raises ValueError, prefixed
+    ``path: ``.  Ranges are left to ``TrainingConfig.__post_init__``."""
     if not isinstance(values, dict):
-        raise ValueError(f"{where}config must be a JSON object, "
+        raise ValueError(f"{path}: config must be a JSON object, "
                          f"not {type(values).__name__}")
-    unknown = sorted(values.keys() - types.keys())
+    unknown = sorted(values.keys() - _CONFIG_TYPES.keys())
     if unknown:
-        raise ValueError(f"{where}unknown config key "
+        raise ValueError(f"{path}: unknown config key "
                          + ", ".join(map(repr, unknown)))
-    missing = sorted(types.keys() - values.keys()) if required else ()
+    missing = sorted(_CONFIG_TYPES.keys() - values.keys())
     if missing:
-        raise ValueError(f"{where}missing config key "
+        raise ValueError(f"{path}: missing config key "
                          + ", ".join(map(repr, missing)))
     for key, value in values.items():
-        expected = types[key]
+        expected = _CONFIG_TYPES[key]
         if not is_json_type(value, expected):
             name = getattr(expected, "__name__", expected)
-            raise ValueError(f"{where}config key {key!r} must be {name}, "
+            raise ValueError(f"{path}: config key {key!r} must be {name}, "
                              f"not {value!r}")
 
 
@@ -126,7 +120,8 @@ _MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # Linux only
 # the archive's config JSON: the TrainingConfig fields plus the Vocabulary
 # fields that no array holds, each with the type of its value
 _VOCABULARY_KEYS = ("total_tokens", "max_size")
-_CONFIG_TYPES = TRAINING_TYPES | dict.fromkeys(_VOCABULARY_KEYS, int)
+_CONFIG_TYPES = (typing.get_type_hints(TrainingConfig)
+                 | dict.fromkeys(_VOCABULARY_KEYS, int))
 
 
 @dataclass(frozen=True)
@@ -589,7 +584,7 @@ def _config_from_json(raw: np.ndarray, path):
         values = json.loads(raw.tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    check_config(values, _CONFIG_TYPES, path, required=True)
+    check_config(values, path)
     vocab_fields = {key: values.pop(key) for key in _VOCABULARY_KEYS}
     try:
         return TrainingConfig(**values), vocab_fields

@@ -81,12 +81,11 @@ def rank(model, target: VerbObject, candidates) -> RankingTable:
     return RankingTable(target=target, rows=tuple(rows))
 
 
-def write_table(table: RankingTable, handle, gold=None):
+def write_table(table: RankingTable, handle):
     """Serialize one ranking table in the TSV exchange format.
 
     Header: ``#target<TAB>doc_id<TAB>index<TAB>verb<TAB>np_head``; rows:
-    ``verb<TAB>confidence_or_NIV<TAB>label[<TAB>gold]``.  ``gold`` maps a
-    row's candidate verb lemma to "+" or "-" when gold labels are known.
+    ``verb<TAB>confidence_or_NIV<TAB>label``.
     """
     doc_id, index = table.target.sentence_ref
     handle.write("\t".join([
@@ -94,7 +93,5 @@ def write_table(table: RankingTable, handle, gold=None):
         table.target.verb_lemma, table.target.np_head_lemma]) + "\n")
     for row in table.rows:
         score = "NIV" if row.confidence is None else f"{row.confidence:.5f}"
-        fields = [row.candidate.verb_lemma, score, row.label]
-        if gold is not None and row.candidate.verb_lemma in gold:
-            fields.append(gold[row.candidate.verb_lemma])
-        handle.write("\t".join(fields) + "\n")
+        handle.write("\t".join([row.candidate.verb_lemma, score, row.label])
+                     + "\n")

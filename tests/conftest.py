@@ -10,7 +10,8 @@ from metovec.embeddings import EmbeddingModel, TrainingConfig
 PROVERB = "what is good for the goose is good for the gander\n"
 
 # out-of-range config values by test id, each with the error that follows
-# "<file>: " when a --config file or a model archive's config holds them
+# "<file>: " when a model archive's config holds them; a train flag's value
+# gives it without "bad config: "
 BAD_CONFIG_RANGES = {
     "window-0": ({"window": 0}, "bad config: window must be >= 1"),
     "lr-infinity": ({"lr_start": math.inf},

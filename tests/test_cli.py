@@ -3,14 +3,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import metovec
-from metovec.cli import PipelineConfig, load_config, main
+from metovec.cli import build_parser, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
 from metovec.metonymy import DEFAULT_VERBS, CandidateSentence
@@ -43,126 +43,66 @@ def trained_model(tmp_path, chapter_corpus):
     return model_path
 
 
-def test_load_config_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dim": 32, "seed": 7}))
-    assert load_config(str(cfg)).training.dim == 32
-    # flags win over the file
-    assert load_config(str(cfg), {"dim": 64}).training.dim == 64
-    assert load_config(str(cfg), {"dim": None}).training.seed == 7
-    assert load_config().training.dim == 100
-
-
 def test_config_not_read_from_environment(tmp_path, chapter_corpus,
                                           monkeypatch, capsys):
-    # only --config names a config file: a stray one in the environment
-    # changes nothing
+    # flags alone set a command's values: a config file named in the
+    # environment changes nothing
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dimm": 1}))
     monkeypatch.setenv("METOVEC_CONFIG", str(cfg))
-    assert load_config() == PipelineConfig()
     assert main(["train", "--corpus", str(chapter_corpus), "--dim", "8",
                  "--output", str(tmp_path / "m.model")]) == 0
     assert "D=8" in capsys.readouterr().out
 
 
-def test_config_unknown_key(tmp_path, chapter_corpus):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dimm": 3, "seed": 2}))
-    with pytest.raises(ValueError) as err:
-        load_config(str(cfg))
-    assert str(err.value) == f"{cfg}: unknown config key 'dimm'"
-    with pytest.raises(SystemExit) as exit_:
-        main(["--config", str(cfg), "train", "--corpus", str(chapter_corpus),
-              "--output", str(tmp_path / "m.txt")])
-    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
-    # with no file, the message names none
-    with pytest.raises(ValueError) as err:
-        load_config(overrides={"dimm": 1})
-    assert str(err.value) == "unknown config key 'dimm'"
+def flag(key, value):
+    """The train flag and value that set TrainingConfig's ``key``."""
+    return ["--" + key.replace("_", "-"), str(value)]
 
 
-# each message follows "<file>:"
-@pytest.mark.parametrize("text, message", [
-    ('{"dim": "3"}', " config key 'dim' must be int, not '3'"),
-    ("[1]", " config must be a JSON object, not list"),
-    ('{"dim": 3,\n', "2:1: malformed JSON: Expecting property name "
-                     "enclosed in double quotes"),
-    ('{"dim": 3, "x": "\xff"}', " not UTF-8 at byte 17: invalid start byte"),
-    # the offset counts the byte order mark
-    ('\xef\xbb\xbf{"dim": 3, "x": "\xff"}',
-     " not UTF-8 at byte 20: invalid start byte"),
-    ('{"corpus_format": "xml"}', " bad config: unknown corpus format 'xml'"),
-    # the paper's thresholds and verbs are constants, not settings
-    ('{"discard_threshold": 0.1}', " unknown config key 'discard_threshold'"),
-    ('{"viable_threshold": 0.6}', " unknown config key 'viable_threshold'"),
-    ('{"verbs": [["read", 0.5, "aspectual"]]}',
-     " unknown config key 'verbs'"),
-    *((json.dumps(values), " " + message)
+@pytest.mark.parametrize("values, message", [
+    ({"dim": 0}, "dim must be >= 1"),
+    *((values, message.removeprefix("bad config: "))
       for values, message in BAD_CONFIG_RANGES.values())],
-    ids=["wrong-type", "not-an-object", "malformed", "not-utf8",
-         "bom-not-utf8", "unknown-format", "discard-threshold",
-         "viable-threshold", "verbs", *BAD_CONFIG_RANGES])
-def test_config_bad_file(tmp_path, chapter_corpus, text, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(text.encode("latin-1"))
-    with pytest.raises(SystemExit) as exit_:
-        main(["--config", str(cfg), "train", "--corpus", str(chapter_corpus),
-              "--output", str(tmp_path / "m.txt")])
-    assert str(exit_.value) == f"error: {cfg}:{message}"
-
-
-def test_config_file_with_bom(tmp_path, capsys):
-    # a leading byte order mark is skipped, as in every other text input
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(b'\xef\xbb\xbf{"dim": 4}')
-    assert load_config(str(cfg)).training.dim == 4
-    assert main(["--config", str(cfg), "eval"]) == 0
-    assert "targets: 41" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("command", [
-    ["eval"],
-    ["query", "similarity", "--model", "MODEL", "chapter", "chapter"]],
-    ids=["eval", "query"])
-def test_config_checked_by_every_subcommand(tmp_path, trained_model,
-                                            monkeypatch, command):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dimm": 3}))
-    argv = [str(trained_model) if arg == "MODEL" else arg for arg in command]
-    with pytest.raises(SystemExit) as exit_:
-        main(["--config", str(cfg), *argv])
-    assert str(exit_.value) == f"error: {cfg}: unknown config key 'dimm'"
-
-
-def test_paraphrase_output_dir_from_config(tmp_path, chapter_corpus,
-                                           trained_model):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "from-config")}))
-    argv = ["--config", str(cfg), "paraphrase", "--corpus",
-            str(chapter_corpus), "--model", str(trained_model)]
-    main(argv)
-    assert len(list((tmp_path / "from-config").glob("*.tsv"))) == 1
-    # the flag wins over the file
-    main([*argv, "--output-dir", str(tmp_path / "from-flag")])
-    assert len(list((tmp_path / "from-flag").glob("*.tsv"))) == 1
-    assert len(list((tmp_path / "from-config").glob("*.tsv"))) == 1
-
-
-@pytest.mark.parametrize("config", [None, {"seed": 3}],
-                         ids=["no-file", "good-file"])
-def test_flag_range_error_names_no_file(tmp_path, chapter_corpus, config):
-    """A flag's value out of range is the flag's fault, not the file's."""
-    argv = ["train", "--corpus", str(chapter_corpus), "--dim", "0",
+    ids=["dim-0", *BAD_CONFIG_RANGES])
+def test_flag_range_error_names_no_file(tmp_path, chapter_corpus, values,
+                                        message):
+    """A flag's value out of range fails with the range a model archive's
+    config is held to, naming no file."""
+    argv = ["train", "--corpus", str(chapter_corpus),
             "--output", str(tmp_path / "m.npz")]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = ["--config", str(cfg), *argv]
+    for key, value in values.items():
+        argv += flag(key, value)
     with pytest.raises(SystemExit) as exit_:
         main(argv)
-    assert str(exit_.value) == "error: dim must be >= 1"
+    assert str(exit_.value) == f"error: {message}"
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_every_training_field_is_a_train_flag():
+    """Each TrainingConfig field is the dest of a train flag, None when
+    the flag is left out, so every training value can be set."""
+    args = build_parser().parse_args(["train", "--corpus", "c",
+                                      "--output", "m"])
+    assert {field.name: getattr(args, field.name, "no flag")
+            for field in fields(TrainingConfig)} \
+        == dict.fromkeys((field.name for field in fields(TrainingConfig)))
+
+
+def test_train_flags_reach_the_model_config(tmp_path):
+    corpus = tmp_path / "proverb.txt"
+    corpus.write_text(PROVERB * 10)
+    wanted = TrainingConfig(mode="cbow", window=2, dim=6, epochs=2,
+                            lr_start=0.05, lr_end=0.001, seed=4,
+                            min_count=2, max_vocab=5)
+    argv = ["train", "--corpus", str(corpus), "--format", "plain",
+            "--output", str(tmp_path / "m.npz")]
+    for key, value in asdict(wanted).items():
+        argv += flag(key, value)
+    main(argv)
+    model = load_model(tmp_path / "m.npz")
+    assert model.config == wanted
+    assert len(model.vocab) == 5
 
 
 def test_cmd_vocab(tmp_path, capsys):
@@ -194,16 +134,31 @@ def test_cmd_train_deterministic(tmp_path, chapter_corpus):
 def test_cmd_train_stops_at_non_finite_loss(tmp_path):
     """Too high a learning rate ends training at its first overflowed
     epoch, with an error naming the rate, and writes no model."""
-    corpus, cfg = tmp_path / "proverb.txt", tmp_path / "cfg.json"
+    corpus = tmp_path / "proverb.txt"
     corpus.write_text(PROVERB * 10)
-    cfg.write_text(json.dumps({"lr_start": 10}))
     model = tmp_path / "m.model"
     with pytest.raises(SystemExit) as exit_:
-        main(["--config", str(cfg), "train", "--corpus", str(corpus),
-              "--format", "plain", "--mode", "skipgram",
+        main(["train", "--corpus", str(corpus), "--format", "plain",
+              "--mode", "skipgram", "--lr-start", "10",
               "--output", str(model)])
     assert str(exit_.value) == ("error: skipgram epoch 1: loss is not "
                                 "finite; lr_start 10 is too high")
+    assert not model.exists()
+
+
+def test_cmd_train_out_of_memory(tmp_path, proverb_path):
+    """A model too large to allocate fails as one error line.  The 7 x D
+    float64 input matrix needs 2**60.8 bytes: more than a 64-bit kernel
+    maps for a process (at most 2**57), yet below numpy's 2**63 size
+    limit, so the kernel refuses the allocation at once, whatever its
+    overcommit mode, and no memory is touched."""
+    dim = 2 ** 55
+    model = tmp_path / "m.model"
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--corpus", str(proverb_path), "--format", "plain",
+              "--dim", str(dim), "--output", str(model)])
+    assert str(exit_.value).startswith("error: Unable to allocate ")
+    assert f"shape (7, {dim})" in str(exit_.value)
     assert not model.exists()
 
 

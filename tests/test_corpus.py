@@ -220,8 +220,7 @@ def test_no_cross_sentence_pairs(tmp_path):
     corp = load_corpus(path, "plain")
     vocab = build_vocabulary(corp, max_size=10)
     counts = next_word_counts(corp, vocab)
-    assert counts.count("b", "c") == 0
-    assert counts.count("a", "b") == 1
+    assert counts.rows == {"a": {"b": 1}, "c": {"d": 1}}
 
 
 def test_oov_tokens_skipped_in_counts(tmp_path):
@@ -231,7 +230,7 @@ def test_oov_tokens_skipped_in_counts(tmp_path):
     vocab = build_vocabulary(corp, max_size=2)
     counts = next_word_counts(corp, vocab)
     assert "rare" not in counts.rows
-    assert counts.count("b", "rare") == 0
+    assert counts.rows["b"] == {"a": 1}
 
 
 def test_row_sum_matches_brute_force(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import tempfile
 from pathlib import Path
 
@@ -258,9 +259,17 @@ def test_fixture_unknown_label(tmp_path):
 
 
 def write_tables(path, tables, gold):
+    """The tables as ``write_table`` writes them, each row followed by its
+    gold column: ``gold`` holds one verb -> "+"/"-" map per table."""
     with open(path, "w", encoding="utf-8") as out:
         for table, table_gold in zip(tables, gold, strict=True):
-            write_table(table, out, gold=table_gold)
+            text = io.StringIO()
+            write_table(table, text)
+            # split at LF alone: a field may hold other line breaks
+            header, *rows = text.getvalue().removesuffix("\n").split("\n")
+            out.write(header + "\n")
+            for line, row in zip(rows, table.rows, strict=True):
+                out.write(f"{line}\t{table_gold[row.candidate.verb_lemma]}\n")
 
 
 def test_fixture_reads_a_candidate_that_starts_with_hash(tmp_path):

@@ -148,10 +148,10 @@ def test_write_table_format():
     table = rank(model, target(),
                  [candidate("read"), candidate("peruse")])
     out = io.StringIO()
-    write_table(table, out, gold={"read": "+"})
+    write_table(table, out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "#target\td\t0\tbegin\tchapter"
-    assert lines[1] == "read\t0.75000\tViable\t+"
+    assert lines[1] == "read\t0.75000\tViable"
     assert lines[2] == "peruse\tNIV\tNotInVocabulary"
 
 
