@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -15,10 +17,12 @@ COARSE_TAGS = frozenset({
 
 
 class CorpusFormatError(ValueError):
-    """A malformed line of an input file, located by path and line number."""
+    """A malformed line of an input file, located by path and line number
+    (``None`` where the line is not known)."""
 
     def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+        where = path if lineno is None else f"{path}:{lineno}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.lineno = lineno
 
@@ -37,13 +41,18 @@ def numbered_lines(path):
     counting from 1, its end removed.  A leading byte order mark is skipped.
     LF, CR and CRLF each end a line, as in text mode, and no other character
     does.  A byte that does not decode raises ``path:line: not UTF-8: ...``;
-    to find its line, the file is read again in binary and split at the
-    same three ends."""
+    to find its line, a regular file is read again in binary and split at
+    the same three ends.  Any other file, such as a pipe, cannot be read
+    twice, so there the error is ``path: not UTF-8: ...``."""
+    regular = False
     try:
         with open(path, encoding="utf-8-sig") as handle:
+            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
             for lineno, line in enumerate(handle, 1):
                 yield lineno, line.rstrip("\n")
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
+        if not regular:
+            raise CorpusFormatError(path, None, f"not UTF-8: {exc}") from None
         for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             try:
                 line.decode("utf-8")
@@ -148,10 +157,11 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     blank lines between sentences and ``#doc <id>`` lines (with no tab)
     starting a new document.  ``plain`` is one sentence per line, whitespace-tokenized,
     with lemma = lowercased surface and pos = OTHER (PUNCT for
-    punctuation-only tokens).
+    punctuation-only tokens).  ``path`` may name any file that opens for
+    reading, such as a named pipe or ``/dev/stdin``.
     """
     path = Path(path)
-    if not path.is_file():
+    if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
     if format == "vertical":
         return tuple(_read_vertical(path))

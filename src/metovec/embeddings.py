@@ -157,12 +157,22 @@ class TrainStats:
 
 @dataclass
 class EmbeddingModel:
-    """Learned input vectors (V x D) plus internal-node vectors ((V-1) x D)."""
+    """Learned input vectors (V x D) plus internal-node vectors ((V-1) x D).
+
+    The first neighbour or analogy query keeps the row norms of
+    ``input_vectors`` in ``input_norms``, next to the array they were
+    computed from, and makes that array read-only.  To edit the vectors
+    after a query, rebind ``input_vectors`` to an edited copy; the next
+    query computes the norms of the new array."""
 
     input_vectors: np.ndarray
     node_vectors: np.ndarray
     vocab: Vocabulary
     config: TrainingConfig
+    # (input_vectors, its vectorspace._with_norms triple), set by
+    # vectorspace on a model's first neighbour query
+    input_norms: tuple = field(default=(None, None), init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         v, d = self.input_vectors.shape

@@ -28,24 +28,48 @@ def _with_norms(rows):
     return norms, ids, scaled
 
 
-def cosine_scores(matrix, query) -> np.ndarray:
+def _scores(matrix, row_norms, query) -> np.ndarray:
     """Cosine of each row of ``matrix`` with ``query``, NaN for a row of
-    norm 0.  Norms and dot products are ``einsum`` sums per row: O(V)
-    extra memory, no BLAS, and a row's score does not depend on the other
-    rows, so a one-row call gives the same bits as a block."""
+    norm 0, where ``row_norms`` is ``_with_norms(matrix)``."""
     query = np.asarray(query, dtype=float)[None]
     query_norm, ids, scaled = _with_norms(query)
     if query_norm[0] == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm vector")
     query = (scaled if ids.size else query)[0]
-    matrix = np.asarray(matrix, dtype=float)
-    norms, ids, scaled = _with_norms(matrix)
+    norms, ids, scaled = row_norms
     scores = np.einsum("ij,j->i", matrix, query)
     if ids.size:
         scores[ids] = np.einsum("ij,j->i", scaled, query)
     with np.errstate(invalid="ignore"):  # a zero row scores 0 / 0, NaN
         scores /= norms * query_norm
     return scores
+
+
+def cosine_scores(matrix, query) -> np.ndarray:
+    """Cosine of each row of ``matrix`` with ``query``, NaN for a row of
+    norm 0.  Norms and dot products are ``einsum`` sums per row: O(V)
+    extra memory, no BLAS, and a row's score does not depend on the other
+    rows, so a one-row call gives the same bits as a block."""
+    matrix = np.asarray(matrix, dtype=float)
+    return _scores(matrix, _with_norms(matrix), query)
+
+
+def _input_norms(model: EmbeddingModel):
+    """``_with_norms`` of ``model.input_vectors``, computed on the first
+    call and kept in ``model.input_norms`` while ``input_vectors`` is bound
+    to the same array.  That array and the kept norms are made read-only,
+    so an edit in place raises instead of ranking with stale norms; an
+    array made writable again, as a deep copy of the model is, has its
+    norms computed anew."""
+    rows, norms = model.input_norms
+    if rows is not model.input_vectors or rows.flags.writeable:
+        rows = model.input_vectors
+        rows.flags.writeable = False
+        norms = _with_norms(np.asarray(rows, dtype=float))
+        for array in norms:
+            array.flags.writeable = False
+        model.input_norms = (rows, norms)
+    return norms
 
 
 def _defined(scores):
@@ -97,10 +121,14 @@ def phrase_vector(model: EmbeddingModel, lemmas) -> PhraseVector:
 def nearest_neighbours(model: EmbeddingModel, query, k: int,
                        exclude=frozenset()) -> list[tuple[str, float]]:
     """Top-k (word, cosine) pairs by descending score, ties by vocab id;
-    rows of norm 0 have no cosine and are left out."""
+    rows of norm 0 have no cosine and are left out.  The row norms of
+    ``model.input_vectors`` are computed on the first call and reused
+    after it, so from then on that array is read-only: to edit the
+    vectors, rebind ``input_vectors`` to an edited copy."""
     if k <= 0:
         return []
-    scores = cosine_scores(model.input_vectors, query)
+    scores = _scores(np.asarray(model.input_vectors, dtype=float),
+                     _input_norms(model), query)
     vocab = model.vocab
     scores[[vocab.index[word] for word in exclude if word in vocab]] = np.nan
     ids = np.flatnonzero(~np.isnan(scores))

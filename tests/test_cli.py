@@ -118,9 +118,25 @@ def test_cmd_vocab(tmp_path, capsys):
 
 
 def test_cmd_vocab_missing_corpus(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["vocab", "--corpus", str(tmp_path / "nope.txt"),
+    missing = tmp_path / "nope.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["vocab", "--corpus", str(missing),
               "--output", str(tmp_path / "v.tsv")])
+    assert err.value.code == f"error: corpus file not found: {missing}"
+
+
+def test_cmd_vocab_reads_dev_null(tmp_path):
+    out = tmp_path / "v.tsv"
+    main(["vocab", "--corpus", os.devnull, "--output", str(out)])
+    assert out.read_text() == ""
+
+
+def test_cmd_vocab_directory_corpus_is_an_error_line(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["vocab", "--corpus", str(tmp_path),
+              "--output", str(tmp_path / "v.tsv")])
+    assert err.value.code == f"error: [Errno 21] Is a directory: " \
+                             f"'{tmp_path}'"
 
 
 def test_cmd_train_deterministic(tmp_path, chapter_corpus):

@@ -1,6 +1,8 @@
+import os
 import re
 import string
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,62 @@ def test_empty_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nope.txt", "plain")
+
+
+def test_any_file_that_opens_is_read():
+    assert load_corpus(os.devnull, "vertical") == ()
+    assert load_corpus(os.devnull, "plain") == ()
+
+
+def test_directory_fails_with_its_os_error(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        load_corpus(tmp_path, "vertical")
+
+
+def read_through_fifo(tmp_path, data):
+    """``load_corpus`` of a named pipe that one thread writes ``data``
+    into, read in a second thread: the sentences, or the exception raised.
+    Both threads are joined with a timeout, so a reader that opened the
+    pipe a second time would fail the test, not hang it."""
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(load_corpus(fifo, "vertical"))
+        except Exception as exc:
+            outcome.append(exc)
+
+    threads = [threading.Thread(target=fifo.write_bytes, args=(data,),
+                                daemon=True),
+               threading.Thread(target=read, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcome[0]
+
+
+def test_vertical_corpus_through_a_named_pipe(tmp_path):
+    path = write_vertical(tmp_path / "c.vert", [
+        [("The", "the", "DET"), ("cat", "cat", "NOUN")],
+        [("It", "it", "PRON"), ("ran", "run", "VERB")],
+    ], doc_id="d")
+    assert read_through_fifo(tmp_path, path.read_bytes()) \
+        == load_corpus(path, "vertical")
+
+
+def test_bad_byte_through_a_named_pipe_is_not_located(tmp_path):
+    """A pipe cannot be read twice to find the line of a bad byte."""
+    error = read_through_fifo(tmp_path,
+                              b"#doc d\nbook\tbook\tNOUN\ncaf\xe9\tx\tNOUN\n")
+    assert isinstance(error, CorpusFormatError)
+    assert error.lineno is None
+    assert str(error) == (
+        f"{tmp_path / 'corpus.fifo'}: not UTF-8: 'utf-8' codec can't decode "
+        "byte 0xe9 in position 25: invalid continuation byte")
 
 
 def test_unknown_format(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from metovec.embeddings import NotInVocabularyError
+from metovec.embeddings import EmbeddingModel, NotInVocabularyError
 from metovec.vectorspace import (analogy, confidence_scores,
                                  cosine_similarity, nearest_neighbours,
                                  phrase_vector)
@@ -246,3 +247,143 @@ def test_confidence_of_parallel_vectors_at_most_one():
     scores = [confidence_scores([a], 3 * a)[0]
               for a in rng.normal(size=(2000, 5))]
     assert max(scores) == 1.0 and min(scores) > 1.0 - 1e-15
+
+
+@st.composite
+def scaled_models(draw):
+    """Models of 2-8 rows with a row of zeros, and rows scaled by 2**600
+    or 2**-600, whose norms lie outside SAFE_NORM_RANGE."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
+                   min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    exponents = draw(st.lists(st.sampled_from([-600, 0, 600]),
+                              min_size=len(rows), max_size=len(rows)))
+    rows = [np.ldexp(r, e).tolist() for r, e in zip(rows, exponents)]
+    rows.insert(draw(st.integers(0, len(rows))), [0.0] * dim)
+    return make_model({f"w{i}": r for i, r in enumerate(rows)})
+
+
+def fresh_copy(model):
+    """An equal model that no query has touched."""
+    return EmbeddingModel(model.input_vectors.copy(),
+                          model.node_vectors.copy(), model.vocab,
+                          model.config)
+
+
+def exact_outcome(query, model):
+    """The hits of ``query(model)`` with each score's exact bits, or the
+    ValueError it raises (a zero-norm query)."""
+    try:
+        return [(word, score.hex()) for word, score in query(model)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(scaled_models(), st.data())
+def test_repeated_queries_match_a_fresh_model(model, data):
+    """The norms kept after the first query rank as norms computed anew."""
+    words = st.sampled_from(model.vocab.words)
+    k = st.integers(1, len(model.vocab) + 1)
+    neighbours = st.builds(
+        lambda w, k: lambda m: nearest_neighbours(m, m.vector(w), k, {w}),
+        words, k)
+    analogies = st.builds(lambda a, b, c, k: lambda m: analogy(m, a, b, c, k),
+                          words, words, words, k)
+    queries = data.draw(st.lists(neighbours | analogies, min_size=2,
+                                 max_size=6), label="queries")
+    for query in queries:
+        assert exact_outcome(query, model) \
+            == exact_outcome(query, fresh_copy(model))
+
+
+def test_input_vectors_read_only_after_a_query():
+    model = make_model(GRID)
+    model.input_vectors[0, 0] = 1.0
+    nearest_neighbours(model, GRID["rome"], 1)
+    with pytest.raises(ValueError):
+        model.input_vectors[0, 0] = 1.0
+    assert not any(array.flags.writeable for array in model.input_norms[1])
+
+
+@st.composite
+def scaled_models(draw):
+    """Models of 2-8 rows with a row of zeros, and rows scaled by 2**600
+    or 2**-600, whose norms lie outside SAFE_NORM_RANGE."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
+                   min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    exponents = draw(st.lists(st.sampled_from([-600, 0, 600]),
+                              min_size=len(rows), max_size=len(rows)))
+    rows = [np.ldexp(r, e).tolist() for r, e in zip(rows, exponents)]
+    rows.insert(draw(st.integers(0, len(rows))), [0.0] * dim)
+    return make_model({f"w{i}": r for i, r in enumerate(rows)})
+
+
+def fresh_copy(model):
+    """An equal model that no query has touched."""
+    return EmbeddingModel(model.input_vectors.copy(),
+                          model.node_vectors.copy(), model.vocab,
+                          model.config)
+
+
+def exact_outcome(query, model):
+    """The hits of ``query(model)`` with each score's exact bits, or the
+    ValueError it raises (a zero-norm query)."""
+    try:
+        return [(word, score.hex()) for word, score in query(model)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(scaled_models(), st.data())
+def test_repeated_queries_match_a_fresh_model(model, data):
+    """The norms kept after the first query rank as norms computed anew."""
+    words = st.sampled_from(model.vocab.words)
+    k = st.integers(1, len(model.vocab) + 1)
+    neighbours = st.builds(
+        lambda w, k: lambda m: nearest_neighbours(m, m.vector(w), k, {w}),
+        words, k)
+    analogies = st.builds(lambda a, b, c, k: lambda m: analogy(m, a, b, c, k),
+                          words, words, words, k)
+    queries = data.draw(st.lists(neighbours | analogies, min_size=2,
+                                 max_size=6), label="queries")
+    for query in queries:
+        assert exact_outcome(query, model) \
+            == exact_outcome(query, fresh_copy(model))
+
+
+def test_input_vectors_read_only_after_a_query():
+    model = make_model(GRID)
+    model.input_vectors[0, 0] = 1.0
+    nearest_neighbours(model, GRID["rome"], 1)
+    with pytest.raises(ValueError):
+        model.input_vectors[0, 0] = 1.0
+    assert not any(array.flags.writeable for array in model.input_norms[1])
+
+
+def test_deep_copy_edited_in_place_is_ranked():
+    model = make_model(GRID)
+    assert nearest_neighbours(model, GRID["rome"], 1)[0][0] == "rome"
+    edited = copy.deepcopy(model)
+    edited.input_vectors[[0, 3]] = edited.input_vectors[[3, 0]]
+    hits = nearest_neighbours(edited, GRID["rome"], len(GRID))
+    assert hits == nearest_neighbours(fresh_copy(edited), GRID["rome"],
+                                      len(GRID))
+    assert hits[0][0] == "france"
+    assert nearest_neighbours(model, GRID["rome"], 1)[0][0] == "rome"
+
+
+def test_rebound_input_vectors_are_ranked():
+    model = make_model(GRID)
+    assert nearest_neighbours(model, GRID["rome"], 1)[0][0] == "rome"
+    other = model.input_vectors.copy()
+    other[[0, 3]] = other[[3, 0]]  # france <-> rome
+    model.input_vectors = other
+    assert other.flags.writeable
+    assert nearest_neighbours(model, GRID["rome"], 1)[0][0] == "france"
+    assert analogy(model, "rome", "paris", "italy") \
+        == analogy(fresh_copy(model), "rome", "paris", "italy")
+    assert not other.flags.writeable
+
