@@ -4,8 +4,9 @@ and ``hs_epoch`` calls it at every token of an epoch (``embeddings.train``).
 
 The library is compiled with the local ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/metovec`` (``~/.cache/metovec`` when that is unset), keyed
-by the source, the compiler command and the machine.  ``hashlib`` is not
-used for the key: importing it maps libcrypto into the process.
+by the source, the compiler command and the machine.  A build removes the
+libraries of other keys.  ``hashlib`` is not used for the key: importing it
+maps libcrypto into the process.
 
 On x86-64 with glibc the two entry points carry an AVX2 clone and a
 baseline clone, and the dynamic loader picks one by the CPU it runs on.
@@ -75,7 +76,9 @@ def _load(path: Path):
 
 def _build(path: Path):
     """Compile to a temporary file and rename it into place, so another
-    process never loads a half-written library."""
+    process never loads a half-written library.  Then remove the library
+    of any other key, built from an earlier source or command; a process
+    that has one loaded keeps its mapping."""
     import subprocess
 
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,3 +99,6 @@ def _build(path: Path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for stale in path.parent.glob("_hs-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import stat
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,15 +12,16 @@ COARSE_TAGS = frozenset({
     "NOUN", "VERB", "ADJ", "DET", "PRON", "ADV",
     "PREP", "CONJ", "NUM", "PUNCT", "OTHER",
 })
+# bytes read from an input file at a time.  A load holds one block; 1 MiB
+# blocks read no faster, and doubled the traced peak of a 100k-token load
+BLOCK_SIZE = 1 << 16
 
 
 class CorpusFormatError(ValueError):
-    """A malformed line of an input file, located by path and line number
-    (``None`` where the line is not known)."""
+    """A malformed line of an input file, located by path and line number."""
 
     def __init__(self, path, lineno, message):
-        where = path if lineno is None else f"{path}:{lineno}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
         self.lineno = lineno
 
@@ -36,30 +35,75 @@ def sentence_index(path, lineno, field) -> int:
     return int(field)
 
 
+def _blocks(path):
+    """Yield ``(lineno, lines)`` for each block of the UTF-8 file at
+    ``path``: the block's lines, their ends removed, and the number of the
+    first, counting from 1.  The file is read once, ``BLOCK_SIZE`` bytes at
+    a time, and each block is cut after its last line end; a trailing CR
+    is held back, for it may be the first half of a CRLF.  A line longer
+    than a block is held until its end is read.  Each block is decoded
+    before its first line is yielded, so a bad byte in a block fails the
+    read before any other error on its lines does, and the last block
+    holds all that is left at the end of the file."""
+    with open(path, "rb") as handle:
+        rest = bytearray()
+        lineno = 1
+        while True:
+            data = handle.read(BLOCK_SIZE)
+            # the held-back part has no line end, but for a trailing CR
+            seen = max(len(rest) - 1, 0)
+            rest += data
+            if len(data) == BLOCK_SIZE:  # a shorter read ends the file
+                cut = max(rest.rfind(b"\n", seen),
+                          rest.rfind(b"\r", seen, -1)) + 1
+                if not cut:
+                    continue
+            elif rest:
+                cut = len(rest)
+            else:
+                return
+            block = bytes(rest[:cut])
+            del rest[:cut]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                _locate_bad_byte(path, lineno, block, exc.start)
+                raise
+            if lineno == 1 and text.startswith("\ufeff"):
+                text = text[1:]
+            lines = text.split("\n")
+            if not lines[-1]:  # the end of the last line starts no line
+                lines.pop()
+            yield lineno, lines
+            lineno += len(lines)
+
+
+def _locate_bad_byte(path, lineno, block, position):
+    """Raise the located error for the byte at ``position`` of ``block``,
+    whose first line is line ``lineno``.  Its line is decoded alone, so the
+    message gives the byte's position in that line."""
+    start = block.rfind(b"\n", 0, position) + 1
+    end = block.find(b"\n", position)
+    try:
+        block[start:end if end >= 0 else None].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(path,
+                                lineno + block.count(b"\n", 0, start),
+                                f"not UTF-8: {exc}") from None
+
+
 def numbered_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
     counting from 1, its end removed.  A leading byte order mark is skipped.
     LF, CR and CRLF each end a line, as in text mode, and no other character
-    does.  A byte that does not decode raises ``path:line: not UTF-8: ...``;
-    to find its line, a regular file is read again in binary and split at
-    the same three ends.  Any other file, such as a pipe, cannot be read
-    twice, so there the error is ``path: not UTF-8: ...``."""
-    regular = False
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-            for lineno, line in enumerate(handle, 1):
-                yield lineno, line.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        if not regular:
-            raise CorpusFormatError(path, None, f"not UTF-8: {exc}") from None
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(path, lineno,
-                                        f"not UTF-8: {exc}") from None
-        raise
+    does.  The file is read once, in blocks of ``BLOCK_SIZE`` bytes, so any
+    file that opens may be read, a pipe too.  A byte that does not decode
+    raises ``path:line: not UTF-8: ...`` on any file, its position counted
+    from the start of its line."""
+    for lineno, lines in _blocks(path):
+        yield from enumerate(lines, lineno)
 
 
 @dataclass(frozen=True)
@@ -84,55 +128,67 @@ class Sentence:
         return (self.doc_id, self.index)
 
 
-def _sentence(surfaces, lemmas, tags, doc_id, index) -> Sentence:
-    return Sentence(tuple(surfaces), tuple(lemmas), tuple(tags), doc_id, index)
-
-
 def _read_vertical(path):
     doc_id = str(path)
     index = 0
-    surfaces, lemmas, tags = [], [], []
+    pending = []  # (surface, lemma, tag) rows of the open sentence
+    # each distinct token line, parsed: (surface, lemma, tag), interned
+    parsed = {}
     tag_of = {tag: tag for tag in COARSE_TAGS}.get
-    for lineno, line in numbered_lines(path):
+
+    def token(line):
         try:
             surface, lemma, pos = line.split("\t")
         except ValueError:
-            tag = None
-        else:
-            tag = tag_of(pos)
-        if tag and surface and lemma:
-            surfaces.append(intern(surface))
-            lemmas.append(intern(lemma.lower()))
-            tags.append(tag)
-            continue
-        # not a token line: a #doc marker, a blank line or an error, in
-        # that order.  A token line has tabs, so "#doc x<TAB>..." is a token
-        if line.startswith("#doc ") and "\t" not in line:
-            if surfaces:
-                yield _sentence(surfaces, lemmas, tags, doc_id, index)
-                surfaces, lemmas, tags = [], [], []
-            doc_id = line[len("#doc "):].strip()
-            index = 0
-            continue
-        if not line.strip():
-            if surfaces:
-                yield _sentence(surfaces, lemmas, tags, doc_id, index)
-                surfaces, lemmas, tags = [], [], []
-                index += 1
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise CorpusFormatError(
-                path, lineno,
-                f"expected 3 tab-separated fields, got {len(fields)}")
-        surface, lemma, pos = fields
-        if not surface:
-            raise CorpusFormatError(path, lineno, "empty surface form")
-        if not lemma:
-            raise CorpusFormatError(path, lineno, "empty lemma")
-        raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
-    if surfaces:
-        yield _sentence(surfaces, lemmas, tags, doc_id, index)
+            return None
+        tag = tag_of(pos)
+        if not (tag and surface and lemma):
+            return None
+        row = parsed[line] = (intern(surface), intern(lemma.lower()), tag)
+        return row
+
+    for first, lines in _blocks(path):
+        rows = [parsed.get(line) or token(line) for line in lines]
+        start = 0
+        while True:
+            try:
+                stop = rows.index(None, start)
+            except ValueError:
+                pending += rows[start:]
+                break
+            pending += rows[start:stop]
+            start = stop + 1
+            # not a token line: a #doc marker, a blank line or an error, in
+            # that order.  A token line has tabs, so "#doc x<TAB>..." is a
+            # token
+            line = lines[stop]
+            if line.startswith("#doc ") and "\t" not in line:
+                if pending:
+                    yield Sentence(*zip(*pending), doc_id, index)
+                    pending = []
+                doc_id = line[len("#doc "):].strip()
+                index = 0
+                continue
+            if not line.strip():
+                if pending:
+                    yield Sentence(*zip(*pending), doc_id, index)
+                    pending = []
+                    index += 1
+                continue
+            lineno = first + stop
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise CorpusFormatError(
+                    path, lineno,
+                    f"expected 3 tab-separated fields, got {len(fields)}")
+            surface, lemma, pos = fields
+            if not surface:
+                raise CorpusFormatError(path, lineno, "empty surface form")
+            if not lemma:
+                raise CorpusFormatError(path, lineno, "empty lemma")
+            raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
+    if pending:
+        yield Sentence(*zip(*pending), doc_id, index)
 
 
 def _read_plain(path):
@@ -158,7 +214,15 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     starting a new document.  ``plain`` is one sentence per line, whitespace-tokenized,
     with lemma = lowercased surface and pos = OTHER (PUNCT for
     punctuation-only tokens).  ``path`` may name any file that opens for
-    reading, such as a named pipe or ``/dev/stdin``.
+    reading, such as a named pipe or ``/dev/stdin``: it is read once, in
+    blocks of ``BLOCK_SIZE`` bytes (see ``numbered_lines``), and a byte that
+    is not UTF-8 is located by line on any file.
+
+    Beside one block, the vertical reader holds a table of each distinct
+    token line it has read, parsed once and reused at every repeat: about
+    200 bytes a line, ~2 MiB for the 10k distinct lines of a 100k-token
+    corpus.  It grows with the corpus's distinct (surface, lemma, tag)
+    triples, not with its tokens.
     """
     path = Path(path)
     if not path.exists():

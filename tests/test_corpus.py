@@ -4,10 +4,13 @@ import string
 import tempfile
 import threading
 from pathlib import Path
+from sys import intern
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from metovec import corpus as corpus_module
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
                             Vocabulary, build_vocabulary, load_corpus,
                             next_word_counts)
@@ -128,15 +131,16 @@ def test_vertical_corpus_through_a_named_pipe(tmp_path):
         == load_corpus(path, "vertical")
 
 
-def test_bad_byte_through_a_named_pipe_is_not_located(tmp_path):
-    """A pipe cannot be read twice to find the line of a bad byte."""
+def test_bad_byte_through_a_named_pipe_is_located(tmp_path):
+    """A pipe is read once, and a bad byte's line is found in that read,
+    as in a regular file."""
     error = read_through_fifo(tmp_path,
                               b"#doc d\nbook\tbook\tNOUN\ncaf\xe9\tx\tNOUN\n")
     assert isinstance(error, CorpusFormatError)
-    assert error.lineno is None
+    assert error.lineno == 3
     assert str(error) == (
-        f"{tmp_path / 'corpus.fifo'}: not UTF-8: 'utf-8' codec can't decode "
-        "byte 0xe9 in position 25: invalid continuation byte")
+        f"{tmp_path / 'corpus.fifo'}:3: not UTF-8: 'utf-8' codec can't "
+        "decode byte 0xe9 in position 3: invalid continuation byte")
 
 
 def test_unknown_format(tmp_path):
@@ -352,7 +356,8 @@ def vertical_oracle(path, text):
     """The vertical format's rules, one check at a time: the sentences of
     ``text`` as (tokens, lemmas, tags, doc_id, index) tuples, or the
     message of its first malformed line."""
-    lines = re.split("\r\n|\r|\n", text)
+    # a leading byte order mark is skipped; a later U+FEFF is text
+    lines = re.split("\r\n|\r|\n", text.removeprefix("\ufeff"))
     if lines[-1] == "":  # the end of the last line starts no line
         lines.pop()
     doc_id, index, rows, sentences = str(path), 0, [], []
@@ -429,14 +434,9 @@ def vertical_text(draw):
     return text
 
 
-@settings(max_examples=300, deadline=None)
-@given(vertical_text())
-@example("#doc a\rA\ta\tDET\r\n\t\r#doc b\tB\tNOUN\n \t \nc\tC\tADJ")
-@example("A\ta\tDET\n#doc\tx\n")
-@example("A\ta\tDET\n\tb\tNOUN\n\nB\t\tNOUN\n")
-def test_vertical_reader_matches_the_format_rules(text):
-    """Every line kind, malformed lines and mixed line ends: the reader
-    gives the sentences the format's rules give, or their first error."""
+def assert_format_rules(text):
+    """The reader gives the sentences the format's rules give ``text``, or
+    their first error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.vert"
         path.write_bytes(text.encode())
@@ -448,6 +448,61 @@ def test_vertical_reader_matches_the_format_rules(text):
         else:
             assert [(s.tokens, s.lemmas, s.tags, s.doc_id, s.index)
                     for s in load_corpus(path, "vertical")] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertical_text())
+@example("#doc a\rA\ta\tDET\r\n\t\r#doc b\tB\tNOUN\n \t \nc\tC\tADJ")
+@example("A\ta\tDET\n#doc\tx\n")
+@example("A\ta\tDET\n\tb\tNOUN\n\nB\t\tNOUN\n")
+@example("\ufeffA\ta\tDET\n\ufeffB\tb\tNOUN\n")
+def test_vertical_reader_matches_the_format_rules(text):
+    """Every line kind, malformed lines and mixed line ends: the reader
+    gives the sentences the format's rules give, or their first error."""
+    assert_format_rules(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertical_text(), st.integers(1, 16))
+# with 1-byte blocks every byte ends a block: a CRLF, each byte of "é"
+# and every line cross a block edge
+@example("#doc a\rA\ta\tDET\r\n\t\r#doc b\tB\tNOUN\n \t \nc\tC\tADJ", 1)
+@example("caf\u00e9\tcaf\u00e9\tNOUN\r\n\r\ncaf\u00e9\tCAF\u00c9\tNOUN\r", 1)
+# a byte order mark is skipped only at the start of the file
+@example("A\ta\tDET\n\ufeffB\tb\tNOUN\n", 1)
+def test_vertical_reader_matches_the_format_rules_in_small_blocks(
+        text, block_size):
+    """The format's rules hold whatever the block edges cut: a CRLF, a
+    multi-byte character or a line longer than a block."""
+    with mock.patch.object(corpus_module, "BLOCK_SIZE", block_size):
+        assert_format_rules(text)
+
+
+def test_a_repeated_token_line_gives_the_same_objects_in_every_block(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_module, "BLOCK_SIZE", 8)
+    path = tmp_path / "c.vert"
+    path.write_text("Book\tBOOK\tNOUN\n\n" * 3)
+    sentences = load_corpus(path, "vertical")
+    assert [s.ref for s in sentences] == [(str(path), i) for i in range(3)]
+    assert all(s.tokens[0] is intern("Book") and s.lemmas[0] is intern("book")
+               and s.tags[0] is sentences[0].tags[0] for s in sentences)
+
+
+def test_bad_byte_on_a_later_block_is_located(tmp_path, monkeypatch):
+    """A bad byte is located by line whatever block holds it, and on a
+    pipe as on a regular file."""
+    monkeypatch.setattr(corpus_module, "BLOCK_SIZE", 5)
+    data = b"#doc d\nbook\tbook\tNOUN\n\r\nread\tr\xe9ad\tVERB\n"
+    path = tmp_path / "c.vert"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path, "vertical")
+    message = ("not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position "
+               "6: invalid continuation byte")
+    assert (err.value.lineno, str(err.value)) == (4, f"{path}:4: {message}")
+    error = read_through_fifo(tmp_path, data)
+    assert str(error) == f"{tmp_path / 'corpus.fifo'}:4: {message}"
 
 
 BEGIN_THE_BOOK = Sentence(("They", "begin", "the", "book"),
@@ -490,6 +545,23 @@ def test_every_reader_skips_a_leading_bom(tmp_path, kind):
     expected = read(path)
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     assert read(path) == expected
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7])
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+@pytest.mark.parametrize("kind", LF_INPUTS)
+def test_every_reader_ends_lines_alike_in_small_blocks(
+        tmp_path, monkeypatch, kind, end, block_size):
+    monkeypatch.setattr(corpus_module, "BLOCK_SIZE", block_size)
+    test_every_reader_ends_lines_alike(tmp_path, kind, end)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", LF_INPUTS)
+def test_every_reader_skips_a_leading_bom_in_small_blocks(
+        tmp_path, monkeypatch, kind, block_size):
+    monkeypatch.setattr(corpus_module, "BLOCK_SIZE", block_size)
+    test_every_reader_skips_a_leading_bom(tmp_path, kind)
 
 
 def test_lone_cr_ends_a_fixture_row(tmp_path):

@@ -476,6 +476,20 @@ def test_train_compiles_once_per_cache(tmp_path, monkeypatch, tiny_corpus):
     assert np.array_equal(first.input_vectors, again.input_vectors)
 
 
+def test_a_build_removes_the_libraries_of_other_keys(tmp_path, monkeypatch,
+                                                    tiny_corpus):
+    """A library left by an earlier source goes; a concurrent build's
+    temporary file and any other file stay."""
+    cache = tmp_path / "cache" / "metovec"
+    cache.mkdir(parents=True)
+    for name in ("_hs-00000000.so", "tmpq8z1_x.so", "notes.txt"):
+        (cache / name).write_text(name)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    train(tiny_corpus, TrainingConfig(dim=4, epochs=1))
+    assert sorted(p.name for p in cache.iterdir()) \
+        == sorted([_hs.library_path().name, "tmpq8z1_x.so", "notes.txt"])
+
+
 @pytest.mark.parametrize("compiler, reason", [
     (None, "No such file or directory"),
     ("#!/bin/sh\necho 'fatal error: no space left' >&2\nexit 1\n",
