@@ -41,9 +41,9 @@ def _blocks(path):
     first, counting from 1.  The file is read once, ``BLOCK_SIZE`` bytes at
     a time, and each block is cut after its last line end; a trailing CR
     is held back, for it may be the first half of a CRLF.  A line longer
-    than a block is held until its end is read.  Each block is decoded
-    before its first line is yielded, so a bad byte in a block fails the
-    read before any other error on its lines does, and the last block
+    than a block is held until its end is read.  A block with a bad byte
+    yields the lines before the byte's line and then raises its located
+    error, so an error on an earlier line is raised first.  The last block
     holds all that is left at the end of the file."""
     with open(path, "rb") as handle:
         rest = bytearray()
@@ -67,16 +67,20 @@ def _blocks(path):
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
-                text = block.decode("utf-8")
+                text, bad = block.decode("utf-8"), None
             except UnicodeDecodeError as exc:
-                _locate_bad_byte(path, lineno, block, exc.start)
-                raise
+                bad = exc
+                text = block[:block.rfind(b"\n", 0, exc.start) + 1].decode(
+                    "utf-8")
             if lineno == 1 and text.startswith("\ufeff"):
                 text = text[1:]
             lines = text.split("\n")
             if not lines[-1]:  # the end of the last line starts no line
                 lines.pop()
             yield lineno, lines
+            if bad:
+                _locate_bad_byte(path, lineno, block, bad.start)
+                raise bad
             lineno += len(lines)
 
 

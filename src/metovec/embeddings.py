@@ -310,7 +310,8 @@ def train_example_skipgram(model, tree, focus, sentence_ids, lr,
 
 def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
     """``hs_example`` of ``_hs.c``, the step ``train`` runs, at ``focus``;
-    C checks no bounds, so the ids, tree and window are checked first."""
+    C checks no bounds, so the ids, tree and window are checked first, and
+    ``work`` is sized from ``tree`` (see ``_work``)."""
     window = model.config.window if window is None else window
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -328,11 +329,17 @@ def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
     trained = _hs.library().hs_example(
         ids.astype(np.int32), 0, len(ids), focus, tree.starts, tree.nodes,
         tree.targets, model.input_vectors, model.node_vectors,
-        np.empty(2 * model.config.dim), model.config.dim,
+        _work(tree, model.config.dim), model.config.dim,
         min(window, len(ids)), cbow, lr, counts, np.zeros(2))
     if stats is not None:
         stats.add(counts)
     return bool(trained)
+
+
+def _work(tree, dim):
+    """The scratch of ``_hs.c``'s step on ``tree``: the hidden vector, its
+    gradient and one residual per node of the tree's longest path."""
+    return np.empty(2 * dim + int(np.diff(tree.starts).max()))
 
 
 def _context_ids(sentence_ids, focus, window):
@@ -352,8 +359,12 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     step ``train_example_*`` run, per token.  Each node's score sums its
     dot product in four interleaved lanes, combined as
     ``(s0 + s1) + (s2 + s3)``; each prediction adds its loss with one log
-    of the product of its node probabilities.  The first call compiles the
-    step (see ``_hs``), so a missing or failing C compiler raises OSError.
+    of the product of its node probabilities.  A prediction scores its path
+    four nodes at a time, then updates it four nodes at a time, with the
+    bits of one node at a time (see ``_hs.c``); its scratch holds one
+    residual per node of the tree's longest path.  The first call compiles
+    the step (see ``_hs``), so a missing or failing C compiler raises
+    OSError.
     An epoch whose loss is not finite, as at too high a learning rate,
     raises ValueError, so no overflowed model is returned.
     ``python_train`` in tests/test_embeddings.py is its bit-exact reference.
@@ -382,7 +393,7 @@ def train(corpus, config: TrainingConfig, vocab: Vocabulary | None = None,
     # _hs.c takes the window as an int64 and adds a position to it; one as
     # long as the corpus already reaches every word of every sentence
     window = min(config.window, epoch_tokens)
-    work = np.empty(2 * config.dim)
+    work = _work(tree, config.dim)
     for epoch in range(1, config.epochs + 1):
         counts = np.zeros(4, dtype=np.int64)
         out = np.zeros(2)

@@ -577,6 +577,8 @@ def test_non_utf8_input_is_located(tmp_path, chapter_corpus, trained_model,
     }[kind]
     lines = (source.read_bytes().split(b"\n") if source
              else [b"#target\td\t0\tbegin\tbook", b"", b" au lait"])
+    if kind == "gold-targets":  # a comment, so the bad byte is the one error
+        lines[0] = b"# doc index verb head"
     lines[2] = b"caf\xe9" + lines[2]
     bad.write_bytes(b"\n".join(lines))
     with pytest.raises(SystemExit) as err:

@@ -523,6 +523,24 @@ LF_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("kind, data, message", [
+    ("vertical", b"a\tb\n\ncaf\xe9\tcafe\tNOUN\n",
+     "expected 3 tab-separated fields, got 2"),
+    ("gold-targets", b"d\t0\tbegin\n\ncaf\xe9\t0\tbegin\tbook\n",
+     "expected 4 tab-separated fields, got 3")],
+    ids=["vertical", "gold-targets"])
+def test_a_malformed_line_before_a_bad_byte_is_reported_first(
+        tmp_path, kind, data, message):
+    """A malformed line 1 fails the read before a bad byte on line 3 of
+    the same block: each file's first error is the one reported."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert len(data) < corpus_module.BLOCK_SIZE
+    with pytest.raises(CorpusFormatError) as err:
+        LF_INPUTS[kind][1](path)
+    assert str(err.value) == f"{path}:1: {message}"
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
 @pytest.mark.parametrize("kind", LF_INPUTS)
 def test_every_reader_ends_lines_alike(tmp_path, kind, end):

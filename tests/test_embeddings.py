@@ -299,6 +299,23 @@ def repeats_corpus(path, seed):
     return load_corpus(path, "plain")
 
 
+def long_paths_corpus(path, seed):
+    """Seeded plain corpus of 11 words counted 512, 256, ..., 2, 1, 1 in
+    sentences of 1 to 12 words: their Huffman paths are 1 to 10 nodes long,
+    so the step meets every remainder of a path's length divided by four."""
+    rng = np.random.default_rng(seed)
+    counts = [2 ** i for i in range(9, -1, -1)] + [1]
+    tokens = rng.permutation([f"w{i}" for i, count in enumerate(counts)
+                              for _ in range(count)]).tolist()
+    lines = []
+    while tokens:
+        size = int(rng.integers(1, 13))
+        lines.append(" ".join(tokens[:size]))
+        del tokens[:size]
+    path.write_text("\n".join(lines) + "\n")
+    return load_corpus(path, "plain")
+
+
 def python_train(corpus, config):
     """Sequential trainer in pure Python, the reference for the one
     compiled step that ``train`` and ``train_example_*`` run, in its order
@@ -395,6 +412,28 @@ def test_train_matches_python_trainer(tmp_path, mode, seed, window, dim):
     # show in the vectors
     config = TrainingConfig(mode=mode, window=window, dim=dim, epochs=2,
                             lr_start=1.0, seed=seed)
+    assert_trains_as_python_train(corpus, config)
+
+
+@pytest.mark.parametrize("mode", [CBOW, SKIPGRAM])
+@pytest.mark.parametrize("dim", [5, 8, 17])
+def test_train_matches_python_trainer_at_every_path_remainder(tmp_path, mode,
+                                                              dim):
+    """The step scores and updates a path's nodes four at a time, then the
+    one to three left over: paths of every length % 4, some of two full
+    groups, train the bits of python_train's one node at a time."""
+    corpus = long_paths_corpus(tmp_path / "long.txt", dim)
+    config = TrainingConfig(mode=mode, window=3, dim=dim, epochs=2,
+                            lr_start=1.0, seed=dim)
+    vocab = build_vocabulary(corpus, config.max_vocab, config.min_count)
+    lengths = np.diff(init_model(vocab, config).tree.starts).tolist()
+    assert set(range(1, 10)) <= set(lengths)
+    assert {length % 4 for length in lengths} == {0, 1, 2, 3}
+    assert max(lengths) >= 8
+    assert_trains_as_python_train(corpus, config)
+
+
+def assert_trains_as_python_train(corpus, config):
     stats = TrainStats()
     model = train(corpus, config, stats=stats)
     expected, counts, losses = python_train(corpus, config)
@@ -451,6 +490,45 @@ def test_loss_at_deepest_tree(tmp_path, mode, step):
     assert all(math.isfinite(epoch.loss) for epoch in stats.epochs)
     assert [epoch.loss for epoch in stats.epochs] \
         == pytest.approx(losses, rel=1e-12, abs=0)
+
+
+def fibonacci_vocab():
+    """Fibonacci counts up to the int64 limit: the deepest Huffman tree,
+    whose longest path is 91 nodes."""
+    fibonacci = [1, 1]
+    while fibonacci[-1] + fibonacci[-2] < 2**63:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    return vocab_from_counts({f"w{i}": count
+                              for i, count in enumerate(fibonacci)})
+
+
+@pytest.mark.parametrize("vocab", [
+    fibonacci_vocab(), vocab_from_counts({"a": 3, "b": 2, "c": 1})],
+    ids=["deepest", "short"])
+@pytest.mark.parametrize("cbow", [True, False], ids=["cbow", "skipgram"])
+def test_step_stays_inside_work(vocab, cbow):
+    """hs_example writes, and reads, no double past a work of 2 * dim plus
+    the longest path, the size _train_example gives it: NaN sentinels past
+    its end stay NaN, and the step trains what train_example_* train."""
+    config = TrainingConfig(dim=5, seed=3)
+    model = init_model(vocab, config)
+    tree, dim = model.tree, config.dim
+    size = 2 * dim + int(np.diff(tree.starts).max())
+    assert embeddings._work(tree, dim).shape == (size,)
+    # the longest path's word is the focus, with every word as context
+    ids = sorted(range(len(vocab)), key=lambda w: tree.starts[w + 1]
+                 - tree.starts[w])[::-1]
+    buffer = np.full(size + 64, np.nan)
+    inputs, nodes = model.input_vectors.copy(), model.node_vectors.copy()
+    assert _hs.library().hs_example(
+        np.array(ids, dtype=np.int32), 0, len(ids), 0, tree.starts,
+        tree.nodes, tree.targets, inputs, nodes, buffer[:size], dim,
+        len(ids), cbow, 1.0, np.zeros(4, dtype=np.int64), np.zeros(2))
+    assert np.isnan(buffer[size:]).all()
+    step = train_example_cbow if cbow else train_example_skipgram
+    assert step(model, tree, 0, ids, 1.0, window=len(ids))
+    assert np.array_equal(inputs, model.input_vectors)
+    assert np.array_equal(nodes, model.node_vectors)
 
 
 def test_train_compiles_once_per_cache(tmp_path, monkeypatch, tiny_corpus):
@@ -530,27 +608,32 @@ def test_compile_rounds_as_written():
 
 def test_baseline_build_matches(tmp_path, monkeypatch):
     """The step built with -DMETOVEC_NO_CLONES, which has no AVX2 clone,
-    trains the same bits as the library train loads, in both modes and at
-    every dim % 4 tail.  On a CPU with AVX2 this is the one test that runs
-    the baseline step."""
-    corpus = repeats_corpus(tmp_path / "repeats.txt", 3)
+    trains the same bits as the library train loads, in both modes, at
+    every dim % 4 tail and, on the long-path corpus, at every path length
+    % 4.  On a CPU with AVX2 this is the one test that runs the baseline
+    step, whose vectors are split into SSE2 halves."""
+    corpora = [repeats_corpus(tmp_path / "repeats.txt", 3),
+               long_paths_corpus(tmp_path / "long.txt", 3)]
     # lr_start 1.0 makes any change in the order of a sum show
     configs = [TrainingConfig(mode=mode, window=3, dim=dim, epochs=2,
                               lr_start=1.0, seed=dim)
                for mode in (CBOW, SKIPGRAM) for dim in range(2, 18)]
-    loaded = [train(corpus, config) for config in configs]
+    loaded = [train(corpus, config)
+              for corpus in corpora for config in configs]
     monkeypatch.setattr(_hs, "COMPILE", (*_hs.COMPILE, "-DMETOVEC_NO_CLONES"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     _hs._load.cache_clear()
     _hs._key.cache_clear()
     try:
-        baseline = [train(corpus, config) for config in configs]
+        baseline = [train(corpus, config)
+                    for corpus in corpora for config in configs]
         assert [p.name for p in (tmp_path / "cache" / "metovec").iterdir()] \
             == [_hs.library_path().name]
     finally:  # the next caller keys and loads the library of _hs.COMPILE
         _hs._load.cache_clear()
         _hs._key.cache_clear()
-    for config, model, other in zip(configs, loaded, baseline):
+    for config, model, other in zip(configs * len(corpora), loaded,
+                                    baseline):
         assert np.array_equal(model.input_vectors, other.input_vectors), \
             config
         assert np.array_equal(model.node_vectors, other.node_vectors), config
