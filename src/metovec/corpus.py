@@ -35,16 +35,20 @@ def sentence_index(path, lineno, field) -> int:
     return int(field)
 
 
-def _blocks(path):
-    """Yield ``(lineno, lines)`` for each block of the UTF-8 file at
-    ``path``: the block's lines, their ends removed, and the number of the
-    first, counting from 1.  The file is read once, ``BLOCK_SIZE`` bytes at
-    a time, and each block is cut after its last line end; a trailing CR
-    is held back, for it may be the first half of a CRLF.  A line longer
-    than a block is held until its end is read.  A block with a bad byte
-    yields the lines before the byte's line and then raises its located
-    error, so an error on an earlier line is raised first.  The last block
-    holds all that is left at the end of the file."""
+def numbered_lines(path):
+    """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
+    counting from 1, its end removed: the one line reader of every text
+    input.  A leading byte order mark is skipped.  LF, CR and CRLF each end
+    a line, as in text mode, and no other character does.
+
+    The file is read once, ``BLOCK_SIZE`` bytes at a time, so any file that
+    opens may be read, a pipe too.  Each block is cut after its last line
+    end; a trailing CR is held back, for it may be the first half of a
+    CRLF, and a line longer than a block is held until its end is read.
+    A byte that does not decode raises ``path:line: not UTF-8: ...`` on any
+    file, its position counted from the start of its line, once the lines
+    before its line have been yielded: an error the caller finds on an
+    earlier line is raised first."""
     with open(path, "rb") as handle:
         rest = bytearray()
         lineno = 1
@@ -59,7 +63,7 @@ def _blocks(path):
                 if not cut:
                     continue
             elif rest:
-                cut = len(rest)
+                cut = len(rest)  # the last block: all that is left
             else:
                 return
             block = bytes(rest[:cut])
@@ -77,7 +81,7 @@ def _blocks(path):
             lines = text.split("\n")
             if not lines[-1]:  # the end of the last line starts no line
                 lines.pop()
-            yield lineno, lines
+            yield from enumerate(lines, lineno)
             if bad:
                 _locate_bad_byte(path, lineno, block, bad.start)
                 raise bad
@@ -96,18 +100,6 @@ def _locate_bad_byte(path, lineno, block, position):
         raise CorpusFormatError(path,
                                 lineno + block.count(b"\n", 0, start),
                                 f"not UTF-8: {exc}") from None
-
-
-def numbered_lines(path):
-    """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
-    counting from 1, its end removed.  A leading byte order mark is skipped.
-    LF, CR and CRLF each end a line, as in text mode, and no other character
-    does.  The file is read once, in blocks of ``BLOCK_SIZE`` bytes, so any
-    file that opens may be read, a pipe too.  A byte that does not decode
-    raises ``path:line: not UTF-8: ...`` on any file, its position counted
-    from the start of its line."""
-    for lineno, lines in _blocks(path):
-        yield from enumerate(lines, lineno)
 
 
 @dataclass(frozen=True)
@@ -132,65 +124,48 @@ class Sentence:
         return (self.doc_id, self.index)
 
 
+def _token_row(path, lineno, line):
+    """The ``(surface, lemma, tag)`` row of token line ``line``, its
+    strings interned and its lemma lowercased: three tab-separated fields,
+    a non-empty surface form, a non-empty lemma and a coarse tag, or the
+    located error of the first that fails, in that order."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise CorpusFormatError(
+            path, lineno,
+            f"expected 3 tab-separated fields, got {len(fields)}")
+    surface, lemma, pos = fields
+    if not surface:
+        raise CorpusFormatError(path, lineno, "empty surface form")
+    if not lemma:
+        raise CorpusFormatError(path, lineno, "empty lemma")
+    if pos not in COARSE_TAGS:
+        raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
+    return intern(surface), intern(lemma.lower()), intern(pos)
+
+
 def _read_vertical(path):
     doc_id = str(path)
     index = 0
     pending = []  # (surface, lemma, tag) rows of the open sentence
-    # each distinct token line, parsed: (surface, lemma, tag), interned
-    parsed = {}
-    tag_of = {tag: tag for tag in COARSE_TAGS}.get
-
-    def token(line):
-        try:
-            surface, lemma, pos = line.split("\t")
-        except ValueError:
-            return None
-        tag = tag_of(pos)
-        if not (tag and surface and lemma):
-            return None
-        row = parsed[line] = (intern(surface), intern(lemma.lower()), tag)
-        return row
-
-    for first, lines in _blocks(path):
-        rows = [parsed.get(line) or token(line) for line in lines]
-        start = 0
-        while True:
-            try:
-                stop = rows.index(None, start)
-            except ValueError:
-                pending += rows[start:]
-                break
-            pending += rows[start:stop]
-            start = stop + 1
-            # not a token line: a #doc marker, a blank line or an error, in
-            # that order.  A token line has tabs, so "#doc x<TAB>..." is a
-            # token
-            line = lines[stop]
-            if line.startswith("#doc ") and "\t" not in line:
-                if pending:
-                    yield Sentence(*zip(*pending), doc_id, index)
-                    pending = []
-                doc_id = line[len("#doc "):].strip()
-                index = 0
-                continue
-            if not line.strip():
+    parsed = {}  # each distinct token line, by its text: its row
+    for lineno, line in numbered_lines(path):
+        row = parsed.get(line)
+        if row is None:
+            # a #doc marker or a blank line ends the open sentence.  A token
+            # line has tabs, so "#doc x<TAB>..." is a token
+            marker = line.startswith("#doc ") and "\t" not in line
+            if marker or not line.strip():
                 if pending:
                     yield Sentence(*zip(*pending), doc_id, index)
                     pending = []
                     index += 1
+                if marker:
+                    doc_id = line[len("#doc "):].strip()
+                    index = 0
                 continue
-            lineno = first + stop
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    path, lineno,
-                    f"expected 3 tab-separated fields, got {len(fields)}")
-            surface, lemma, pos = fields
-            if not surface:
-                raise CorpusFormatError(path, lineno, "empty surface form")
-            if not lemma:
-                raise CorpusFormatError(path, lineno, "empty lemma")
-            raise CorpusFormatError(path, lineno, f"unknown POS tag {pos!r}")
+            row = parsed[line] = _token_row(path, lineno, line)
+        pending.append(row)
     if pending:
         yield Sentence(*zip(*pending), doc_id, index)
 
@@ -215,18 +190,22 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
 
     ``vertical`` is one ``surface<TAB>lemma<TAB>pos`` token per line with
     blank lines between sentences and ``#doc <id>`` lines (with no tab)
-    starting a new document.  ``plain`` is one sentence per line, whitespace-tokenized,
-    with lemma = lowercased surface and pos = OTHER (PUNCT for
-    punctuation-only tokens).  ``path`` may name any file that opens for
-    reading, such as a named pipe or ``/dev/stdin``: it is read once, in
-    blocks of ``BLOCK_SIZE`` bytes (see ``numbered_lines``), and a byte that
-    is not UTF-8 is located by line on any file.
+    starting a new document.  ``plain`` is one sentence per line,
+    whitespace-tokenized, with lemma = lowercased surface and pos = OTHER
+    (PUNCT for punctuation-only tokens).  ``path`` may name any file that
+    opens for reading, such as a named pipe or ``/dev/stdin``: both readers
+    take its lines from ``numbered_lines``, which reads it once, in blocks
+    of ``BLOCK_SIZE`` bytes, and locates a byte that is not UTF-8 by line
+    on any file.
 
-    Beside one block, the vertical reader holds a table of each distinct
-    token line it has read, parsed once and reused at every repeat: about
-    200 bytes a line, ~2 MiB for the 10k distinct lines of a 100k-token
-    corpus.  It grows with the corpus's distinct (surface, lemma, tag)
-    triples, not with its tokens.
+    The vertical reader looks each line up in a table of the token lines
+    it has read, keyed by their text.  Only a line not in the table is
+    checked: a marker or a blank line ends the open sentence, and any other
+    line is held to the token-line rule, which is stated once, in
+    ``_token_row``, and its row added to the table.  Beside one block, the
+    table takes about 200 bytes per distinct token line, ~2 MiB for the 10k
+    of a 100k-token corpus: it grows with the corpus's distinct (surface,
+    lemma, tag) triples, not with its tokens.
     """
     path = Path(path)
     if not path.exists():
@@ -294,12 +273,10 @@ class NextWordCounts:
         self.rows = rows
         self.vocab = vocab
 
-    def row_vector(self, focus: str, columns=None) -> list[int]:
-        """Dense row over ``columns`` (default: vocabulary, alphabetical)."""
-        if columns is None:
-            columns = sorted(self.vocab.words)
+    def row_vector(self, focus: str) -> list[int]:
+        """Dense row over the vocabulary, in alphabetical order."""
         row = self.rows.get(focus, {})
-        return [row.get(col, 0) for col in columns]
+        return [row.get(col, 0) for col in sorted(self.vocab.words)]
 
 
 def next_word_counts(corpus, vocab: Vocabulary) -> NextWordCounts:

@@ -456,6 +456,10 @@ def assert_format_rules(text):
 @example("A\ta\tDET\n#doc\tx\n")
 @example("A\ta\tDET\n\tb\tNOUN\n\nB\t\tNOUN\n")
 @example("\ufeffA\ta\tDET\n\ufeffB\tb\tNOUN\n")
+# a marker right after a token line ends its sentence, as a blank line does
+@example("A\ta\tDET\n#doc d\nB\tb\tNOUN\nC\tc\tNOUN\n#doc e\n")
+# a run of blank and whitespace-only lines ends one sentence
+@example("A\ta\tDET\n\n \t \n\n\t\nB\tb\tNOUN\n \t \n\n")
 def test_vertical_reader_matches_the_format_rules(text):
     """Every line kind, malformed lines and mixed line ends: the reader
     gives the sentences the format's rules give, or their first error."""
@@ -470,6 +474,8 @@ def test_vertical_reader_matches_the_format_rules(text):
 @example("caf\u00e9\tcaf\u00e9\tNOUN\r\n\r\ncaf\u00e9\tCAF\u00c9\tNOUN\r", 1)
 # a byte order mark is skipped only at the start of the file
 @example("A\ta\tDET\n\ufeffB\tb\tNOUN\n", 1)
+@example("A\ta\tDET\n#doc d\nB\tb\tNOUN\nC\tc\tNOUN\n#doc e\n", 3)
+@example("A\ta\tDET\n\n \t \n\n\t\nB\tb\tNOUN\n \t \n\n", 2)
 def test_vertical_reader_matches_the_format_rules_in_small_blocks(
         text, block_size):
     """The format's rules hold whatever the block edges cut: a CRLF, a
@@ -487,6 +493,21 @@ def test_a_repeated_token_line_gives_the_same_objects_in_every_block(
     assert [s.ref for s in sentences] == [(str(path), i) for i in range(3)]
     assert all(s.tokens[0] is intern("Book") and s.lemmas[0] is intern("book")
                and s.tags[0] is sentences[0].tags[0] for s in sentences)
+
+
+def test_each_distinct_token_line_is_checked_once(tmp_path, monkeypatch):
+    """The token-line rule sees each distinct token line once, whatever
+    block its repeats fall in, and never a marker or a blank line."""
+    monkeypatch.setattr(corpus_module, "BLOCK_SIZE", 8)
+    rule = mock.Mock(wraps=corpus_module._token_row)
+    monkeypatch.setattr(corpus_module, "_token_row", rule)
+    path = tmp_path / "c.vert"
+    path.write_text("#doc d\nBook\tbook\tNOUN\nread\tread\tVERB\n\n \t \n" * 3
+                    + "Book\tbook\tNOUN\n")
+    sentences = load_corpus(path, "vertical")
+    assert [s.ref for s in sentences] == [("d", 0)] * 3 + [("d", 1)]
+    assert [call.args[2] for call in rule.call_args_list] == [
+        "Book\tbook\tNOUN", "read\tread\tVERB"]
 
 
 def test_bad_byte_on_a_later_block_is_located(tmp_path, monkeypatch):
