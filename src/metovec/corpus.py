@@ -12,8 +12,9 @@ COARSE_TAGS = frozenset({
     "NOUN", "VERB", "ADJ", "DET", "PRON", "ADV",
     "PREP", "CONJ", "NUM", "PUNCT", "OTHER",
 })
-# bytes read from an input file at a time.  A load holds one block; 1 MiB
-# blocks read no faster, and doubled the traced peak of a 100k-token load
+# characters read from an input file at a time, before the rest of the
+# block's last line.  A load holds one block; 1 MiB blocks read no faster,
+# and doubled the traced peak of a 100k-token load
 BLOCK_SIZE = 1 << 16
 
 
@@ -38,68 +39,38 @@ def sentence_index(path, lineno, field) -> int:
 def numbered_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
     counting from 1, its end removed: the one line reader of every text
-    input.  A leading byte order mark is skipped.  LF, CR and CRLF each end
-    a line, as in text mode, and no other character does.
+    input.  The file is read once, in text mode, so any file that opens
+    may be read, a pipe too.  A leading byte order mark is skipped
+    (``utf-8-sig``), and LF, CR and CRLF each end a line, as text mode's
+    universal newlines read them; no other character does.
 
-    The file is read once, ``BLOCK_SIZE`` bytes at a time, so any file that
-    opens may be read, a pipe too.  Each block is cut after its last line
-    end; a trailing CR is held back, for it may be the first half of a
-    CRLF, and a line longer than a block is held until its end is read.
-    A byte that does not decode raises ``path:line: not UTF-8: ...`` on any
-    file, its position counted from the start of its line, once the lines
-    before its line have been yielded: an error the caller finds on an
-    earlier line is raised first."""
-    with open(path, "rb") as handle:
-        rest = bytearray()
+    Each block is ``BLOCK_SIZE`` characters and then ``readline()``, which
+    completes the block's last line, however long.  A byte that does not
+    decode is read as a surrogate escape, so a block that does not encode
+    strictly holds one: the lines before its line are yielded, and its
+    line raises ``path:line: not UTF-8: ...``, from decoding that line's
+    own bytes, so the position is counted from the start of the line.  An
+    error the caller finds on an earlier line is thus raised first."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape",
+              newline=None) as handle:
         lineno = 1
-        while True:
-            data = handle.read(BLOCK_SIZE)
-            # the held-back part has no line end, but for a trailing CR
-            seen = max(len(rest) - 1, 0)
-            rest += data
-            if len(data) == BLOCK_SIZE:  # a shorter read ends the file
-                cut = max(rest.rfind(b"\n", seen),
-                          rest.rfind(b"\r", seen, -1)) + 1
-                if not cut:
-                    continue
-            elif rest:
-                cut = len(rest)  # the last block: all that is left
-            else:
-                return
-            block = bytes(rest[:cut])
-            del rest[:cut]
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            try:
-                text, bad = block.decode("utf-8"), None
-            except UnicodeDecodeError as exc:
-                bad = exc
-                text = block[:block.rfind(b"\n", 0, exc.start) + 1].decode(
-                    "utf-8")
-            if lineno == 1 and text.startswith("\ufeff"):
-                text = text[1:]
-            lines = text.split("\n")
+        while block := handle.read(BLOCK_SIZE) + handle.readline():
+            lines = block.split("\n")
             if not lines[-1]:  # the end of the last line starts no line
                 lines.pop()
+            try:
+                block.encode()  # strictly, so an escaped byte fails
+            except UnicodeEncodeError:
+                # the line of an escaped byte does not decode: this raises
+                for lineno, line in enumerate(lines, lineno):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode()
+                    except UnicodeDecodeError as exc:
+                        raise CorpusFormatError(
+                            path, lineno, f"not UTF-8: {exc}") from None
+                    yield lineno, line
             yield from enumerate(lines, lineno)
-            if bad:
-                _locate_bad_byte(path, lineno, block, bad.start)
-                raise bad
             lineno += len(lines)
-
-
-def _locate_bad_byte(path, lineno, block, position):
-    """Raise the located error for the byte at ``position`` of ``block``,
-    whose first line is line ``lineno``.  Its line is decoded alone, so the
-    message gives the byte's position in that line."""
-    start = block.rfind(b"\n", 0, position) + 1
-    end = block.find(b"\n", position)
-    try:
-        block[start:end if end >= 0 else None].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(path,
-                                lineno + block.count(b"\n", 0, start),
-                                f"not UTF-8: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -194,9 +165,10 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     whitespace-tokenized, with lemma = lowercased surface and pos = OTHER
     (PUNCT for punctuation-only tokens).  ``path`` may name any file that
     opens for reading, such as a named pipe or ``/dev/stdin``: both readers
-    take its lines from ``numbered_lines``, which reads it once, in blocks
-    of ``BLOCK_SIZE`` bytes, and locates a byte that is not UTF-8 by line
-    on any file.
+    take its lines from ``numbered_lines``, which reads it once in text
+    mode, in blocks of ``BLOCK_SIZE`` characters each completed to a line
+    end by ``readline``, and locates a byte that is not UTF-8, read as a
+    surrogate escape, by line on any file.
 
     The vertical reader looks each line up in a table of the token lines
     it has read, keyed by their text.  Only a line not in the table is

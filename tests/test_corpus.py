@@ -468,8 +468,8 @@ def test_vertical_reader_matches_the_format_rules(text):
 
 @settings(max_examples=300, deadline=None)
 @given(vertical_text(), st.integers(1, 16))
-# with 1-byte blocks every byte ends a block: a CRLF, each byte of "é"
-# and every line cross a block edge
+# with 1-character blocks each block is the first character of a line and
+# the rest of it, which readline reads: every longer line crosses an edge
 @example("#doc a\rA\ta\tDET\r\n\t\r#doc b\tB\tNOUN\n \t \nc\tC\tADJ", 1)
 @example("caf\u00e9\tcaf\u00e9\tNOUN\r\n\r\ncaf\u00e9\tCAF\u00c9\tNOUN\r", 1)
 # a byte order mark is skipped only at the start of the file
@@ -478,8 +478,8 @@ def test_vertical_reader_matches_the_format_rules(text):
 @example("A\ta\tDET\n\n \t \n\n\t\nB\tb\tNOUN\n \t \n\n", 2)
 def test_vertical_reader_matches_the_format_rules_in_small_blocks(
         text, block_size):
-    """The format's rules hold whatever the block edges cut: a CRLF, a
-    multi-byte character or a line longer than a block."""
+    """The format's rules hold whatever the block size: a line longer than
+    a block, CRLF included, is completed by readline."""
     with mock.patch.object(corpus_module, "BLOCK_SIZE", block_size):
         assert_format_rules(text)
 
@@ -524,6 +524,56 @@ def test_bad_byte_on_a_later_block_is_located(tmp_path, monkeypatch):
     assert (err.value.lineno, str(err.value)) == (4, f"{path}:4: {message}")
     error = read_through_fifo(tmp_path, data)
     assert str(error) == f"{tmp_path / 'corpus.fifo'}:4: {message}"
+
+
+def lines_oracle(path, data):
+    """The line rules on the bytes ``data`` of ``path``: its ``(lineno,
+    line)`` pairs, up to the message of its first line that is not UTF-8."""
+    # a leading byte order mark is skipped; LF, CR and CRLF each end a line
+    lines = re.split(b"\r\n|\r|\n", data.removeprefix(b"\xef\xbb\xbf"))
+    if lines[-1] == b"":  # the end of the last line starts no line
+        lines.pop()
+    read = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            read.append((lineno, line.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            read.append(f"{path}:{lineno}: not UTF-8: {exc}")
+            break
+    return read
+
+
+# ASCII, multi-byte characters, each line end, a byte order mark, a byte
+# that never starts a character, a truncated "€" and an encoded surrogate
+byte_piece = st.sampled_from([
+    b"a", b"\t", b" ", "é".encode(), "€".encode(), "\U0001d11e".encode(),
+    b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff", b"\xe2\x82",
+    b"\xed\xa0\x80"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(byte_piece, max_size=30).map(b"".join),
+       st.integers(1, 16) | st.just(corpus_module.BLOCK_SIZE))
+# a bad byte on line 1 after a byte order mark: its position is counted
+# from the start of the line, after the mark
+@example(b"\xef\xbb\xbfcaf\xe9\r\nbook\n", corpus_module.BLOCK_SIZE)
+# after a CRLF line, a truncated character that a 1-character block cuts
+# and a CR ends: line 2 is the one located
+@example(b"a\r\n\xe2\x82\rb\r\n\xff", 1)
+def test_numbered_lines_follow_the_line_rules_on_any_bytes(data, block_size):
+    """Bad bytes anywhere, at any block edge: the reader yields each line
+    the rules give, and stops with the located error of the first line
+    that is not UTF-8."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus_module, "BLOCK_SIZE", block_size):
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        read = []
+        try:
+            read.extend(corpus_module.numbered_lines(path))
+        except CorpusFormatError as exc:
+            read.append(str(exc))
+        assert read == lines_oracle(path, data)
 
 
 BEGIN_THE_BOOK = Sentence(("They", "begin", "the", "book"),
