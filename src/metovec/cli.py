@@ -97,17 +97,33 @@ def cmd_paraphrase(args):
     excluded = {spec.lemma for spec in metonymy.DEFAULT_VERBS}
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # a table's rows depend only on its target's verb and head: each
+    # distinct (verb, head) is harvested, ranked and formatted once, and
+    # kept as (row count, NotInVocabulary rows, row lines)
+    tables = {}
+    rows_written = niv_rows = 0
     # a table's name is its target's position: a corpus lemma in it could
     # leave the directory or be too long for a file name.  The #target
     # header names the document, sentence, verb and head
     for n, target in enumerate(targets, 1):
-        candidates = metonymy.harvest_candidates(
-            index, target.np_head_lemma, excluded)
-        table = ranking.rank(model, target, candidates)
+        key = (target.verb_lemma, target.np_head_lemma)
+        if key not in tables:
+            candidates = metonymy.harvest_candidates(
+                index, target.np_head_lemma, excluded)
+            rows = ranking.rank(model, target, candidates).rows
+            tables[key] = (len(rows),
+                           sum(row.confidence is None for row in rows),
+                           ranking.format_rows(rows))
+        count, niv, text = tables[key]
         path = outdir / f"target-{n}.tsv"
         with open(path, "w", encoding="utf-8") as out:
-            ranking.write_table(table, out)
-        print(f"wrote {path} ({len(table.rows)} candidates)")
+            out.write(ranking.table_header(target) + text)
+        print(f"wrote {path} ({count} candidates)")
+        rows_written += count
+        niv_rows += niv
+    log.info("paraphrase: %d targets, %d distinct (verb, head) ranked, "
+             "%d rows written, %d NotInVocabulary", len(targets),
+             len(tables), rows_written, niv_rows)
 
 
 def _pr_points(args, fixture):

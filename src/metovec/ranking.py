@@ -1,4 +1,5 @@
-"""Confidence scoring and threshold labelling of paraphrase candidates."""
+"""Confidence scoring and threshold labelling of paraphrase candidates,
+and the TSV format of their ranking tables."""
 
 from __future__ import annotations
 
@@ -52,7 +53,9 @@ def rank(model, target: VerbObject, candidates) -> RankingTable:
 
     Every candidate shares the target's NP head, so a row's score depends
     only on its verb: the table's distinct in-vocab verbs are scored as
-    one block of phrase vectors against the target phrase.
+    one block of phrase vectors against the target phrase.  The rows thus
+    depend only on the target's verb and head and on the candidates, not
+    on the target's sentence, which only ``table_header`` names.
     """
     candidates = list(candidates)
     for candidate in candidates:
@@ -81,17 +84,27 @@ def rank(model, target: VerbObject, candidates) -> RankingTable:
     return RankingTable(target=target, rows=tuple(rows))
 
 
-def write_table(table: RankingTable, handle):
-    """Serialize one ranking table in the TSV exchange format.
+def table_header(target: VerbObject) -> str:
+    """The first line of ``target``'s table:
+    ``#target<TAB>doc_id<TAB>index<TAB>verb<TAB>np_head``."""
+    doc_id, index = target.sentence_ref
+    return "\t".join(["#target", doc_id, str(index), target.verb_lemma,
+                      target.np_head_lemma]) + "\n"
 
-    Header: ``#target<TAB>doc_id<TAB>index<TAB>verb<TAB>np_head``; rows:
-    ``verb<TAB>confidence_or_NIV<TAB>label``.
-    """
-    doc_id, index = table.target.sentence_ref
-    handle.write("\t".join([
-        "#target", doc_id, str(index),
-        table.target.verb_lemma, table.target.np_head_lemma]) + "\n")
-    for row in table.rows:
-        score = "NIV" if row.confidence is None else f"{row.confidence:.5f}"
-        handle.write("\t".join([row.candidate.verb_lemma, score, row.label])
-                     + "\n")
+
+def _row_line(row: ScoredCandidate) -> str:
+    score = "NIV" if row.confidence is None else f"{row.confidence:.5f}"
+    return f"{row.candidate.verb_lemma}\t{score}\t{row.label}\n"
+
+
+def format_rows(rows) -> str:
+    """The lines of a table's ``rows``, each
+    ``verb<TAB>confidence_or_NIV<TAB>label``.  They name no sentence, so
+    targets with the same verb, head and candidates share this text."""
+    return "".join(map(_row_line, rows))
+
+
+def write_table(table: RankingTable, handle):
+    """Serialize one ranking table in the TSV exchange format: its
+    ``table_header`` and then its ``format_rows``."""
+    handle.write(table_header(table.target) + format_rows(table.rows))

@@ -18,10 +18,13 @@ def _with_norms(rows):
     SAFE_NORM_RANGE, and those rows rescaled.  There the squares underflow
     into subnormals, which lose precision, or overflow; so each is scaled
     by the power of two that puts its largest magnitude in [0.5, 1), and
-    its norm taken again.  The scaling is exact, so cosines are unchanged."""
+    its norm taken again.  The scaling is exact, so cosines are unchanged.
+    With every norm in range, as for most blocks, no row is rescaled."""
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     low, high = SAFE_NORM_RANGE
     ids = np.flatnonzero(~((low < norms) & (norms < high)))
+    if not ids.size:
+        return norms, ids, np.empty((0, rows.shape[1]), rows.dtype)
     _, exponents = np.frexp(np.abs(rows[ids]).max(axis=1, initial=0.0))
     scaled = np.ldexp(rows[ids], -exponents[:, None])
     norms[ids] = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -374,11 +375,20 @@ PARAPHRASE_SENTENCES = [tagged(line) for line in [
     "He/he/PRON began/begin/VERB and/and/CONJ the/the/DET book/book/NOUN",
 ]]
 PARAPHRASE_OOV = {"skim", "devour", "enjoy", "zyzzyva"}
+# a second document's "begin the book": a target with the verb and head of
+# an earlier one, whose table has the same rows under its own header
+SECOND_DOCUMENT = [tagged(
+    "They/they/PRON begin/begin/VERB the/the/DET book/book/NOUN")]
 
 
 @pytest.fixture
 def paraphrase_inputs(tmp_path):
-    corpus_path = write_vertical(tmp_path / "p.vert", PARAPHRASE_SENTENCES)
+    corpus_path = tmp_path / "p.vert"
+    corpus_path.write_text("".join(
+        write_vertical(tmp_path / f"{doc_id}.vert", sentences,
+                       doc_id).read_text()
+        for doc_id, sentences in [("doc1", PARAPHRASE_SENTENCES),
+                                  ("doc2", SECOND_DOCUMENT)]))
     lemmas = sorted({lemma for sentence in PARAPHRASE_SENTENCES
                      for _, lemma, _ in sentence} - PARAPHRASE_OOV)
     rng = np.random.default_rng(3)
@@ -416,7 +426,8 @@ def test_cmd_paraphrase_matches_rescan(tmp_path, paraphrase_inputs):
     corpus_path, model_path = paraphrase_inputs
     corpus = load_corpus(corpus_path)
     targets = rescan_targets(corpus)
-    assert [t.np_head_lemma for t in targets].count("book") == 3
+    assert [t.np_head_lemma for t in targets].count("book") == 4
+    assert targets[-1].sentence_ref == ("doc2", 0)
     expected = reference_tables(corpus, load_model(model_path), targets)
     table_text = b"".join(expected.values()).decode()
     for needed in ("Viable", "Rejected", "Discarded", "NIV",
@@ -428,13 +439,11 @@ def test_cmd_paraphrase_matches_rescan(tmp_path, paraphrase_inputs):
     assert written_tables(outdir) == expected
 
 
-def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
-                                                  paraphrase_inputs):
+def gold_tables(tmp_path, paraphrase_inputs, gold_records):
+    """The tables ``paraphrase --gold-targets`` writes for ``gold_records``
+    and those of ``reference_tables``."""
     corpus_path, model_path = paraphrase_inputs
     corpus = load_corpus(corpus_path)
-    # gold targets may use any verb and come in any order
-    gold_records = [("doc1", 9, "begin", "meal"), ("doc1", 1, "read", "book"),
-                    ("doc1", 3, "enjoy", "book"), ("doc1", 0, "begin", "book")]
     targets = []
     for doc_id, index, verb, head in gold_records:
         found = next(c for c in rescan_candidates(corpus, head)
@@ -450,7 +459,52 @@ def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
     main(["paraphrase", "--corpus", str(corpus_path),
           "--model", str(model_path), "--gold-targets", str(gold),
           "--output-dir", str(outdir)])
-    assert written_tables(outdir) == expected
+    return written_tables(outdir), expected
+
+
+def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
+                                                  paraphrase_inputs):
+    # gold targets may use any verb and come in any order
+    written, expected = gold_tables(tmp_path, paraphrase_inputs, [
+        ("doc1", 9, "begin", "meal"), ("doc1", 1, "read", "book"),
+        ("doc1", 3, "enjoy", "book"), ("doc1", 0, "begin", "book")])
+    assert written == expected
+
+
+def test_cmd_paraphrase_repeated_gold_target_matches_rescan(
+        tmp_path, paraphrase_inputs):
+    """A record listed twice has two tables, the second ranked from the
+    first's; each is the per-target reference, byte for byte."""
+    written, expected = gold_tables(tmp_path, paraphrase_inputs, [
+        ("doc1", 1, "read", "book"), ("doc2", 0, "begin", "book"),
+        ("doc1", 1, "read", "book"), ("doc1", 0, "begin", "book")])
+    assert written == expected
+    assert written["target-1.tsv"] == written["target-3.tsv"]
+
+
+def test_cmd_paraphrase_logs_a_summary(tmp_path, paraphrase_inputs, capsys,
+                                       caplog):
+    """After the tables, one log line counts the targets, the distinct
+    (verb, head) pairs ranked, the rows and the NotInVocabulary rows; the
+    standard output is one line per table."""
+    corpus_path, model_path = paraphrase_inputs
+    outdir = tmp_path / "tables"
+    with caplog.at_level(logging.INFO, logger="metovec.cli"):
+        main(["paraphrase", "--corpus", str(corpus_path),
+              "--model", str(model_path), "--output-dir", str(outdir)])
+    tables = {name: text.decode().splitlines()
+              for name, text in written_tables(outdir).items()}
+    rows = [row for lines in tables.values() for row in lines[1:]]
+    keys = {tuple(lines[0].split("\t")[3:]) for lines in tables.values()}
+    niv = [row for row in rows if row.split("\t")[1] == "NIV"]
+    assert (len(tables), len(keys), len(rows), len(niv)) == (7, 6, 31, 7)
+    assert [record.getMessage() for record in caplog.records] == [
+        "paraphrase: 7 targets, 6 distinct (verb, head) ranked, "
+        "31 rows written, 7 NotInVocabulary"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {outdir / f'target-{n}.tsv'} "
+        f"({len(tables[f'target-{n}.tsv']) - 1} candidates)"
+        for n in range(1, len(tables) + 1)]
 
 
 def test_targets_read_back_as_gold_targets(tmp_path, trained_model, capsys):

@@ -526,6 +526,24 @@ def test_bad_byte_on_a_later_block_is_located(tmp_path, monkeypatch):
     assert str(error) == f"{tmp_path / 'corpus.fifo'}:4: {message}"
 
 
+@pytest.mark.parametrize("text", ["caf\u00e9", "\u20ac", "caf\u00e9\u20ac"],
+                         ids=["e-acute", "euro", "both"])
+def test_bad_byte_beside_non_ascii_text_is_located(tmp_path, text):
+    """A block holding "\u00e9", which Latin-1 encodes, "\u20ac", which it
+    does not, or both, and a bad byte, fails with the bad byte's located
+    error; without the bad byte it reads."""
+    good = f"#doc d\n{text}\tx\tNOUN\n".encode()
+    path = tmp_path / "c.vert"
+    path.write_bytes(good + b"read\tr\xe9ad\tVERB\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path, "vertical")
+    assert str(err.value) == (
+        f"{path}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in "
+        "position 6: invalid continuation byte")
+    path.write_bytes(good)
+    assert [s.tokens for s in load_corpus(path, "vertical")] == [(text,)]
+
+
 def lines_oracle(path, data):
     """The line rules on the bytes ``data`` of ``path``: its ``(lineno,
     line)`` pairs, up to the message of its first line that is not UTF-8."""

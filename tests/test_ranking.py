@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from metovec.metonymy import CandidateSentence
 from metovec.ranking import (DISCARDED, DISCARD_THRESHOLD, NOT_IN_VOCAB,
-                             REJECTED, VIABLE, VIABLE_THRESHOLD, label_for,
-                             rank, write_table)
+                             REJECTED, VIABLE, VIABLE_THRESHOLD,
+                             format_rows, label_for, rank, table_header,
+                             write_table)
 from metovec.vectorspace import confidence_scores, phrase_vector
 
 from conftest import make_model
@@ -153,6 +154,23 @@ def test_write_table_format():
     assert lines[0] == "#target\td\t0\tbegin\tchapter"
     assert lines[1] == "read\t0.75000\tViable"
     assert lines[2] == "peruse\tNIV\tNotInVocabulary"
+
+
+def test_write_table_is_header_and_rows():
+    """A table is its target's header and its rows' lines; the lines do
+    not depend on the target's sentence."""
+    model = angle_model(0.3)
+    rows = [candidate(v) for v in ("read", "peruse", "begin", "read")]
+    table = rank(model, target(), rows)
+    out = io.StringIO()
+    write_table(table, out)
+    assert out.getvalue() == table_header(table.target) \
+        + format_rows(table.rows)
+    assert table_header(target()) == "#target\td\t0\tbegin\tchapter\n"
+    elsewhere = CandidateSentence("begin", 4, "chapter", (5, 6), ("e", 7))
+    assert format_rows(rank(model, elsewhere, rows).rows) \
+        == format_rows(table.rows)
+    assert format_rows(()) == ""
 
 
 def test_write_table_deterministic():

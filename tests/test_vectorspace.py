@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from metovec.embeddings import EmbeddingModel, NotInVocabularyError
-from metovec.vectorspace import (analogy, confidence_scores,
+from metovec.vectorspace import (SAFE_NORM_RANGE, _with_norms, analogy,
+                                 confidence_scores,
                                  cosine_similarity, nearest_neighbours,
                                  phrase_vector)
 
@@ -264,61 +265,42 @@ def scaled_models(draw):
     return make_model({f"w{i}": r for i, r in enumerate(rows)})
 
 
-def fresh_copy(model):
-    """An equal model that no query has touched."""
-    return EmbeddingModel(model.input_vectors.copy(),
-                          model.node_vectors.copy(), model.vocab,
-                          model.config)
-
-
-def exact_outcome(query, model):
-    """The hits of ``query(model)`` with each score's exact bits, or the
-    ValueError it raises (a zero-norm query)."""
-    try:
-        return [(word, score.hex()) for word, score in query(model)]
-    except ValueError as exc:
-        return str(exc)
-
-
-@given(scaled_models(), st.data())
-def test_repeated_queries_match_a_fresh_model(model, data):
-    """The norms kept after the first query rank as norms computed anew."""
-    words = st.sampled_from(model.vocab.words)
-    k = st.integers(1, len(model.vocab) + 1)
-    neighbours = st.builds(
-        lambda w, k: lambda m: nearest_neighbours(m, m.vector(w), k, {w}),
-        words, k)
-    analogies = st.builds(lambda a, b, c, k: lambda m: analogy(m, a, b, c, k),
-                          words, words, words, k)
-    queries = data.draw(st.lists(neighbours | analogies, min_size=2,
-                                 max_size=6), label="queries")
-    for query in queries:
-        assert exact_outcome(query, model) \
-            == exact_outcome(query, fresh_copy(model))
-
-
-def test_input_vectors_read_only_after_a_query():
-    model = make_model(GRID)
-    model.input_vectors[0, 0] = 1.0
-    nearest_neighbours(model, GRID["rome"], 1)
-    with pytest.raises(ValueError):
-        model.input_vectors[0, 0] = 1.0
-    assert not any(array.flags.writeable for array in model.input_norms[1])
+def full_rescaling(rows):
+    """``_with_norms`` with no shortcut: the rows whose norm is outside
+    SAFE_NORM_RANGE are rescaled, whether there are some or none."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    low, high = SAFE_NORM_RANGE
+    ids = np.flatnonzero(~((low < norms) & (norms < high)))
+    _, exponents = np.frexp(np.abs(rows[ids]).max(axis=1, initial=0.0))
+    scaled = np.ldexp(rows[ids], -exponents[:, None])
+    norms[ids] = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    return norms, ids, scaled
 
 
 @st.composite
-def scaled_models(draw):
-    """Models of 2-8 rows with a row of zeros, and rows scaled by 2**600
-    or 2**-600, whose norms lie outside SAFE_NORM_RANGE."""
+def mixed_blocks(draw):
+    """Blocks of 1-6 rows, each in range, scaled by 2**-600 (tiny) or
+    2**600 (huge), or a row of zeros."""
     dim = draw(st.integers(1, 4))
     row = st.lists(st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
                    min_size=dim, max_size=dim)
-    rows = draw(st.lists(row, min_size=1, max_size=7))
-    exponents = draw(st.lists(st.sampled_from([-600, 0, 600]),
-                              min_size=len(rows), max_size=len(rows)))
-    rows = [np.ldexp(r, e).tolist() for r, e in zip(rows, exponents)]
-    rows.insert(draw(st.integers(0, len(rows))), [0.0] * dim)
-    return make_model({f"w{i}": r for i, r in enumerate(rows)})
+    kinds = st.sampled_from([0, 0, -600, 600, None])  # None: zeros
+    rows = draw(st.lists(st.tuples(row, kinds), min_size=1, max_size=6))
+    return np.array([[0.0] * dim if exponent is None
+                     else np.ldexp(r, exponent) for r, exponent in rows])
+
+
+@given(mixed_blocks())
+@example(np.array([[1.0, 2.0], [-3.0, 0.5]]))
+@example(np.array([[1.0, 2.0], [0.0, 0.0], [2.0 ** -600, 0.0],
+                   [0.0, 2.0 ** 600]]))
+def test_with_norms_matches_full_rescaling(block):
+    """The norms, ids and rescaled rows have the bits, shapes and dtypes of
+    the full rescaling path, also where no row is rescaled."""
+    got, want = _with_norms(block.copy()), full_rescaling(block.copy())
+    for ours, theirs in zip(got, want, strict=True):
+        assert (ours.shape, ours.dtype) == (theirs.shape, theirs.dtype)
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def fresh_copy(model):
