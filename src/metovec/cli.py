@@ -97,33 +97,39 @@ def cmd_paraphrase(args):
     excluded = {spec.lemma for spec in metonymy.DEFAULT_VERBS}
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a table's rows depend only on its target's verb and head: each
-    # distinct (verb, head) is harvested, ranked and formatted once, and
-    # kept as (row count, NotInVocabulary rows, row lines)
-    tables = {}
+    # a table's rows depend only on its target's verb and head: the tables
+    # of all targets with one (verb, head) are written when the first of
+    # them is reached, from one harvest, ranking and formatting, so one
+    # table's rows are held at a time.  A table's name is its target's
+    # position: a corpus lemma in it could leave the directory or be too
+    # long for a file name.  The #target header names the document,
+    # sentence, verb and head
+    numbers = {}  # (verb, head) -> the numbers of its targets
+    for n, target in enumerate(targets, 1):
+        numbers.setdefault((target.verb_lemma, target.np_head_lemma),
+                           []).append(n)
+    counts = {}  # (verb, head) -> its tables' row count, once written
     rows_written = niv_rows = 0
-    # a table's name is its target's position: a corpus lemma in it could
-    # leave the directory or be too long for a file name.  The #target
-    # header names the document, sentence, verb and head
     for n, target in enumerate(targets, 1):
         key = (target.verb_lemma, target.np_head_lemma)
-        if key not in tables:
+        if key not in counts:
             candidates = metonymy.harvest_candidates(
                 index, target.np_head_lemma, excluded)
             rows = ranking.rank(model, target, candidates).rows
-            tables[key] = (len(rows),
-                           sum(row.confidence is None for row in rows),
-                           ranking.format_rows(rows))
-        count, niv, text = tables[key]
+            text = ranking.format_rows(rows)
+            for m in numbers[key]:
+                with open(outdir / f"target-{m}.tsv", "w",
+                          encoding="utf-8") as out:
+                    out.write(ranking.table_header(targets[m - 1]) + text)
+            counts[key] = len(rows)
+            niv_rows += len(numbers[key]) * sum(
+                row.confidence is None for row in rows)
         path = outdir / f"target-{n}.tsv"
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(ranking.table_header(target) + text)
-        print(f"wrote {path} ({count} candidates)")
-        rows_written += count
-        niv_rows += niv
+        print(f"wrote {path} ({counts[key]} candidates)")
+        rows_written += counts[key]
     log.info("paraphrase: %d targets, %d distinct (verb, head) ranked, "
              "%d rows written, %d NotInVocabulary", len(targets),
-             len(tables), rows_written, niv_rows)
+             len(counts), rows_written, niv_rows)
 
 
 def _pr_points(args, fixture):

@@ -36,21 +36,6 @@ def sentence_index(path, lineno, field) -> int:
     return int(field)
 
 
-def _has_escaped_byte(block) -> bool:
-    """Whether ``block`` holds the surrogate escape of a byte that did not
-    decode.  Every escape, U+DC80-U+DCFF, lies above U+00FF: a block that
-    encodes as Latin-1, as ASCII or Western European text does at the
-    speed of a copy, holds none, and only another is encoded strictly."""
-    try:
-        block.encode("latin-1")
-    except UnicodeEncodeError:
-        try:
-            block.encode()  # strictly, so an escaped byte fails
-        except UnicodeEncodeError:
-            return True
-    return False
-
-
 def numbered_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
     counting from 1, its end removed: the one line reader of every text
@@ -73,7 +58,9 @@ def numbered_lines(path):
             lines = block.split("\n")
             if not lines[-1]:  # the end of the last line starts no line
                 lines.pop()
-            if _has_escaped_byte(block):
+            try:
+                block.encode()  # strictly, so an escaped byte fails
+            except UnicodeEncodeError:
                 # the line of an escaped byte does not decode: this raises
                 for lineno, line in enumerate(lines, lineno):
                     try:

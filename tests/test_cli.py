@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,8 +474,8 @@ def test_cmd_paraphrase_gold_targets_match_rescan(tmp_path,
 
 def test_cmd_paraphrase_repeated_gold_target_matches_rescan(
         tmp_path, paraphrase_inputs):
-    """A record listed twice has two tables, the second ranked from the
-    first's; each is the per-target reference, byte for byte."""
+    """A record listed twice has two tables, written from one ranking;
+    each is the per-target reference, byte for byte."""
     written, expected = gold_tables(tmp_path, paraphrase_inputs, [
         ("doc1", 1, "read", "book"), ("doc2", 0, "begin", "book"),
         ("doc1", 1, "read", "book"), ("doc1", 0, "begin", "book")])
@@ -484,12 +485,14 @@ def test_cmd_paraphrase_repeated_gold_target_matches_rescan(
 
 def test_cmd_paraphrase_logs_a_summary(tmp_path, paraphrase_inputs, capsys,
                                        caplog):
-    """After the tables, one log line counts the targets, the distinct
-    (verb, head) pairs ranked, the rows and the NotInVocabulary rows; the
-    standard output is one line per table."""
+    """Each distinct (verb, head) is ranked once.  After the tables, one
+    log line counts the targets, the distinct (verb, head) pairs ranked,
+    the rows and the NotInVocabulary rows; the standard output is one line
+    per table, in the targets' order."""
     corpus_path, model_path = paraphrase_inputs
     outdir = tmp_path / "tables"
-    with caplog.at_level(logging.INFO, logger="metovec.cli"):
+    with caplog.at_level(logging.INFO, logger="metovec.cli"), \
+            mock.patch("metovec.ranking.rank", wraps=rank) as ranked:
         main(["paraphrase", "--corpus", str(corpus_path),
               "--model", str(model_path), "--output-dir", str(outdir)])
     tables = {name: text.decode().splitlines()
@@ -498,6 +501,7 @@ def test_cmd_paraphrase_logs_a_summary(tmp_path, paraphrase_inputs, capsys,
     keys = {tuple(lines[0].split("\t")[3:]) for lines in tables.values()}
     niv = [row for row in rows if row.split("\t")[1] == "NIV"]
     assert (len(tables), len(keys), len(rows), len(niv)) == (7, 6, 31, 7)
+    assert ranked.call_count == 6
     assert [record.getMessage() for record in caplog.records] == [
         "paraphrase: 7 targets, 6 distinct (verb, head) ranked, "
         "31 rows written, 7 NotInVocabulary"]

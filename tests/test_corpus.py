@@ -529,9 +529,8 @@ def test_bad_byte_on_a_later_block_is_located(tmp_path, monkeypatch):
 @pytest.mark.parametrize("text", ["caf\u00e9", "\u20ac", "caf\u00e9\u20ac"],
                          ids=["e-acute", "euro", "both"])
 def test_bad_byte_beside_non_ascii_text_is_located(tmp_path, text):
-    """A block holding "\u00e9", which Latin-1 encodes, "\u20ac", which it
-    does not, or both, and a bad byte, fails with the bad byte's located
-    error; without the bad byte it reads."""
+    """A block holding "\u00e9", "\u20ac" or both, and a bad byte, fails
+    with the bad byte's located error; without the bad byte it reads."""
     good = f"#doc d\n{text}\tx\tNOUN\n".encode()
     path = tmp_path / "c.vert"
     path.write_bytes(good + b"read\tr\xe9ad\tVERB\n")
