@@ -78,7 +78,7 @@ def cmd_query(args):
 
 
 def cmd_targets(args):
-    corp = corpus_mod.load_corpus(args.corpus, args.format)
+    corp = corpus_mod.load_corpus(args.corpus)
     targets = metonymy.find_targets(corp)
     for t in targets:
         doc_id, index = t.sentence_ref
@@ -87,7 +87,7 @@ def cmd_targets(args):
 
 
 def cmd_paraphrase(args):
-    corp = corpus_mod.load_corpus(args.corpus, args.format)
+    corp = corpus_mod.load_corpus(args.corpus)
     model = load_model(args.model)
     index = metonymy.index_corpus(corp)
     if args.gold_targets:
@@ -158,12 +158,13 @@ def _shown(value, spec=".4f"):
 
 def cmd_eval(args):
     fixture = evaluation.load_fixture(args.fixture)
-    # built before the first line is printed, so an undefined curve
-    # fails with no output
-    points = _pr_points(args, fixture) if args.pr_csv else None
     cm = evaluation.confusion([row.label for row in fixture.rows],
                               [row.gold for row in fixture.rows],
                               unscored=args.unscored)
+    # written before the first line is printed, so an undefined curve or
+    # a failed write fails with no output
+    if args.pr_csv:
+        _write_pr_csv(_pr_points(args, fixture), args.pr_csv)
     print(f"targets: {len(fixture.targets)}  rows: {len(fixture.rows)}")
     print(f"tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
     phi = _defined(evaluation.phi_coefficient, cm)
@@ -174,7 +175,6 @@ def cmd_eval(args):
     print(f"phi={_shown(phi)}")
     print(f"chi2={_shown(chi2)} p={_shown(p, '.3g')}")
     if args.pr_csv:
-        _write_pr_csv(points, args.pr_csv)
         print(f"wrote {args.pr_csv}")
 
 
@@ -227,13 +227,14 @@ def build_parser():
     p.add_argument("words", nargs="+")
     p.set_defaults(func=cmd_query)
 
+    # targets are found by POS tags, which only a vertical corpus carries
     p = sub.add_parser("targets", help="list metonymy targets in a corpus")
-    _add_corpus(p)
+    p.add_argument("--corpus", required=True)
     p.set_defaults(func=cmd_targets)
 
     p = sub.add_parser("paraphrase", help="rank paraphrase candidates "
                                           "for every target")
-    _add_corpus(p)
+    p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--gold-targets")
     p.add_argument("--output-dir", default=".")

@@ -73,38 +73,6 @@ class TrainingConfig:
             raise ValueError("seed must be >= 0")
 
 
-def check_config(values, path):
-    """Check ``values``, a model archive's config read from JSON, against
-    ``_CONFIG_TYPES``, in this order: it is a JSON object, it names no
-    other key, it names every key, and each of its values has its key's
-    type (see ``is_json_type``).  A failure raises ValueError, prefixed
-    ``path: ``.  Ranges are left to ``TrainingConfig.__post_init__``."""
-    if not isinstance(values, dict):
-        raise ValueError(f"{path}: config must be a JSON object, "
-                         f"not {type(values).__name__}")
-    unknown = sorted(values.keys() - _CONFIG_TYPES.keys())
-    if unknown:
-        raise ValueError(f"{path}: unknown config key "
-                         + ", ".join(map(repr, unknown)))
-    missing = sorted(_CONFIG_TYPES.keys() - values.keys())
-    if missing:
-        raise ValueError(f"{path}: missing config key "
-                         + ", ".join(map(repr, missing)))
-    for key, value in values.items():
-        expected = _CONFIG_TYPES[key]
-        if not is_json_type(value, expected):
-            name = getattr(expected, "__name__", expected)
-            raise ValueError(f"{path}: config key {key!r} must be {name}, "
-                             f"not {value!r}")
-
-
-def is_json_type(value, expected) -> bool:
-    """Whether a value read from JSON is an ``expected``: a JSON integer is
-    a valid float; a boolean is never a number."""
-    accepted = int | float if expected is float else expected
-    return not isinstance(value, bool) and isinstance(value, accepted)
-
-
 # the members of a model archive, one .npy file each
 _MEMBER_DTYPES = {name: np.dtype(kind) for name, kind in (
     ("inputs", "float64"), ("nodes", "float64"), ("counts", "int64"),
@@ -600,12 +568,33 @@ def _crc32():
 
 def _config_from_json(raw: np.ndarray, path):
     """``(TrainingConfig, {"total_tokens": .., "max_size": ..})`` from the
-    archive's config member, which must give every key (``check_config``)."""
+    archive's config member.  Checked against ``_CONFIG_TYPES`` in this
+    order: it is a JSON object, it names no other key, it names every key,
+    and each value has its key's type, where a JSON integer is a valid
+    float and a boolean is never a number.  Ranges are left to
+    ``TrainingConfig.__post_init__``.  A failure raises ValueError,
+    prefixed ``path: ``."""
     try:
         values = json.loads(raw.tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    check_config(values, path)
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config must be a JSON object, "
+                         f"not {type(values).__name__}")
+    unknown = sorted(values.keys() - _CONFIG_TYPES.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown config key "
+                         + ", ".join(map(repr, unknown)))
+    missing = sorted(_CONFIG_TYPES.keys() - values.keys())
+    if missing:
+        raise ValueError(f"{path}: missing config key "
+                         + ", ".join(map(repr, missing)))
+    for key, value in values.items():
+        expected = _CONFIG_TYPES[key]
+        accepted = int | float if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"{path}: config key {key!r} must be "
+                             f"{expected.__name__}, not {value!r}")
     vocab_fields = {key: values.pop(key) for key in _VOCABULARY_KEYS}
     try:
         return TrainingConfig(**values), vocab_fields

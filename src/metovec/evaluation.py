@@ -159,10 +159,13 @@ class Fixture:
     targets: tuple[FixtureTarget, ...]
     rows: tuple[FixtureRow, ...]
 
-    def confusion_for_verb(self, verb, unscored="true-negative"):
+    def confusion_for_verb(self, verb):
+        """The confusion matrix of ``verb``'s rows, tallied as the source
+        experiment's per-verb summaries were: unscored rows as true
+        negatives."""
         rows = [row for row in self.rows if row.target.verb == verb]
         return confusion([r.label for r in rows], [r.gold for r in rows],
-                         unscored=unscored)
+                         unscored="true-negative")
 
 
 def load_fixture(path=None) -> Fixture:

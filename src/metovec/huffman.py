@@ -37,12 +37,10 @@ class HuffmanTree:
         bits.flags.writeable = False
         return np.split(bits, self.starts[1:-1])
 
-    def mean_code_length(self, counts=None) -> float:
-        """Mean code length, frequency-weighted when ``counts`` is given;
-        summed in Python ints, as counts may reach 2**63."""
+    def mean_code_length(self, counts) -> float:
+        """Mean code length weighted by ``counts``; summed in Python ints,
+        as counts may reach 2**63."""
         lengths = np.diff(self.starts).tolist()
-        if counts is None:
-            return sum(lengths) / len(lengths)
         return sum(l * c for l, c in zip(lengths, counts)) / sum(counts)
 
 

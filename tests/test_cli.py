@@ -262,6 +262,25 @@ def test_cmd_targets(chapter_corpus, capsys):
     assert out == ["doc1\t0\tbegin\tchapter"]
 
 
+@pytest.mark.parametrize("command", ["targets", "paraphrase"])
+def test_target_commands_take_no_format(tmp_path, chapter_corpus,
+                                        trained_model, command, capsys):
+    """Targets are found by POS tags, which only a vertical corpus carries,
+    so `targets` and `paraphrase` reject --format as argparse rejects any
+    unknown flag."""
+    extra = {"targets": [],
+             "paraphrase": ["--model", str(trained_model),
+                            "--output-dir", str(tmp_path / "tables")]}
+    with pytest.raises(SystemExit) as err:
+        main([command, "--corpus", str(chapter_corpus), "--format", "plain",
+              *extra[command]])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format plain" in captured.err
+    assert not (tmp_path / "tables").exists()
+
+
 def test_cmd_targets_into_a_closed_pipe(tmp_path):
     """A reader that stops early, as `| head -1` does, ends `targets` as
     SIGPIPE ends a filter: status 141 (128 + SIGPIPE), no error line and
@@ -646,7 +665,7 @@ def test_non_utf8_input_is_located(tmp_path, chapter_corpus, trained_model,
         "position 3: invalid continuation byte")
 
 
-def test_cmd_eval_pr_csv(tmp_path):
+def test_cmd_eval_pr_csv(tmp_path, capsys):
     out = tmp_path / "pr.csv"
     main(["eval", "--pr-csv", str(out)])
     lines = out.read_text().splitlines()
@@ -654,3 +673,15 @@ def test_cmd_eval_pr_csv(tmp_path):
     assert len(lines) == 175  # header + 174 scored rows
     last = lines[-1].split(",")
     assert float(last[2]) == 1.0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+
+
+def test_cmd_eval_pr_csv_write_fails_first(tmp_path, capsys):
+    """A PR CSV that cannot be written fails the command, naming the path,
+    before it prints anything."""
+    out = tmp_path / "missing" / "pr.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--pr-csv", str(out)])
+    assert capsys.readouterr().out == ""
+    assert err.value.code.startswith("error: [Errno 2] ")
+    assert str(out) in err.value.code

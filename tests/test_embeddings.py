@@ -1139,7 +1139,7 @@ def test_binary_load_gives_writable_arrays(tmp_path):
 
 
 def test_archive_config_takes_integer_float(tmp_path):
-    """A JSON integer serves as a float, as in a --config file."""
+    """A JSON integer in a model's config serves as a float."""
     path = tmp_path / "model"
     save_model(replace(SMALL_MODEL, config=replace(SMALL_MODEL.config,
                                                    lr_start=1)), path)

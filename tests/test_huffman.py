@@ -54,8 +54,9 @@ def test_two_word_codes():
 
 def test_eleven_equal_frequency_words():
     counts = {f"w{i}": 5 for i in range(11)}
-    tree = build_huffman_tree(vocab_from_counts(counts))
-    mean = tree.mean_code_length()
+    vocab = vocab_from_counts(counts)
+    tree = build_huffman_tree(vocab)
+    mean = tree.mean_code_length(vocab.counts)
     assert 3 <= mean <= 4  # log2(11) is about 3.46
 
 
