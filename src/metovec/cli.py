@@ -158,13 +158,13 @@ def _shown(value, spec=".4f"):
 
 def cmd_eval(args):
     fixture = evaluation.load_fixture(args.fixture)
-    cm = evaluation.confusion([row.label for row in fixture.rows],
-                              [row.gold for row in fixture.rows],
-                              unscored=args.unscored)
     # written before the first line is printed, so an undefined curve or
     # a failed write fails with no output
     if args.pr_csv:
         _write_pr_csv(_pr_points(args, fixture), args.pr_csv)
+    cm = evaluation.confusion([row.label for row in fixture.rows],
+                              [row.gold for row in fixture.rows],
+                              unscored=args.unscored)
     print(f"targets: {len(fixture.targets)}  rows: {len(fixture.rows)}")
     print(f"tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
     phi = _defined(evaluation.phi_coefficient, cm)
