@@ -97,39 +97,35 @@ def cmd_paraphrase(args):
     excluded = {spec.lemma for spec in metonymy.DEFAULT_VERBS}
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a table's rows depend only on its target's verb and head: the tables
-    # of all targets with one (verb, head) are written when the first of
-    # them is reached, from one harvest, ranking and formatting, so one
-    # table's rows are held at a time.  A table's name is its target's
-    # position: a corpus lemma in it could leave the directory or be too
-    # long for a file name.  The #target header names the document,
-    # sentence, verb and head
-    numbers = {}  # (verb, head) -> the numbers of its targets
+    # a table's rows depend only on its target's verb and head, so each
+    # (verb, head) group is harvested, ranked and formatted once and every
+    # table of the group is written from that text: one group's text is
+    # held at a time.  A table's name is its target's position: a corpus
+    # lemma in it could leave the directory or be too long for a file
+    # name.  The #target header names the document, sentence, verb and
+    # head.  The wrote lines follow the tables, so none names a table that
+    # a failed write left unwritten
+    groups = {}  # (verb, head) -> the numbers of its targets
     for n, target in enumerate(targets, 1):
-        numbers.setdefault((target.verb_lemma, target.np_head_lemma),
-                           []).append(n)
-    counts = {}  # (verb, head) -> its tables' row count, once written
-    rows_written = niv_rows = 0
-    for n, target in enumerate(targets, 1):
-        key = (target.verb_lemma, target.np_head_lemma)
-        if key not in counts:
-            candidates = metonymy.harvest_candidates(
-                index, target.np_head_lemma, excluded)
-            rows = ranking.rank(model, target, candidates).rows
-            text = ranking.format_rows(rows)
-            for m in numbers[key]:
-                with open(outdir / f"target-{m}.tsv", "w",
-                          encoding="utf-8") as out:
-                    out.write(ranking.table_header(targets[m - 1]) + text)
-            counts[key] = len(rows)
-            niv_rows += len(numbers[key]) * sum(
-                row.confidence is None for row in rows)
-        path = outdir / f"target-{n}.tsv"
-        print(f"wrote {path} ({counts[key]} candidates)")
-        rows_written += counts[key]
+        groups.setdefault((target.verb_lemma, target.np_head_lemma),
+                          []).append(n)
+    sizes = [0] * len(targets)  # the row count of each target's table
+    niv_rows = 0
+    for (_, head), numbers in groups.items():
+        candidates = metonymy.harvest_candidates(index, head, excluded)
+        rows = ranking.rank(model, targets[numbers[0] - 1], candidates).rows
+        text = ranking.format_rows(rows)
+        for n in numbers:
+            with open(outdir / f"target-{n}.tsv", "w",
+                      encoding="utf-8") as out:
+                out.write(ranking.table_header(targets[n - 1]) + text)
+            sizes[n - 1] = len(rows)
+        niv_rows += len(numbers) * sum(row.confidence is None for row in rows)
+    for n, size in enumerate(sizes, 1):
+        print(f"wrote {outdir / f'target-{n}.tsv'} ({size} candidates)")
     log.info("paraphrase: %d targets, %d distinct (verb, head) ranked, "
              "%d rows written, %d NotInVocabulary", len(targets),
-             len(counts), rows_written, niv_rows)
+             len(groups), sum(sizes), niv_rows)
 
 
 def _pr_points(args, fixture):

@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -528,6 +529,24 @@ def test_cmd_paraphrase_logs_a_summary(tmp_path, paraphrase_inputs, capsys,
         f"wrote {outdir / f'target-{n}.tsv'} "
         f"({len(tables[f'target-{n}.tsv']) - 1} candidates)"
         for n in range(1, len(tables) + 1)]
+
+
+def test_cmd_paraphrase_fails_on_unwritable_table(tmp_path, paraphrase_inputs,
+                                                  capsys):
+    """A table that cannot be written ends the run with an error line that
+    names it, and no `wrote` line names a table that was not written."""
+    corpus_path, model_path = paraphrase_inputs
+    outdir = tmp_path / "tables"
+    blocked = outdir / "target-2.tsv"
+    blocked.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exit_:
+        main(["paraphrase", "--corpus", str(corpus_path),
+              "--model", str(model_path), "--output-dir", str(outdir)])
+    assert str(exit_.value).startswith("error: ")
+    assert str(blocked) in str(exit_.value)
+    for line in capsys.readouterr().out.splitlines():
+        path, = re.fullmatch(r"wrote (.+) \(\d+ candidates\)", line).groups()
+        assert Path(path).is_file()
 
 
 def test_targets_read_back_as_gold_targets(tmp_path, trained_model, capsys):

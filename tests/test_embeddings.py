@@ -1000,7 +1000,9 @@ def test_save_rejects_non_finite_entry(tmp_path, matrix, label):
 
 def archive_error(tmp_path, **changes):
     """The error of load_model on SMALL_MODEL's archive with each member
-    named in ``changes`` replaced by its value, or dropped when None."""
+    named in ``changes`` replaced by its value, or dropped when None.  An
+    array value is saved as np.savez saves it; a bytes value is written
+    as the member's .npy file, as it is."""
     with np.load(io.BytesIO(small_archive()), allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
     for name, value in changes.items():
@@ -1010,7 +1012,12 @@ def archive_error(tmp_path, **changes):
             members[name] = value
     path = tmp_path / "model.npz"
     with open(path, "wb") as out:
-        np.savez(out, **members)
+        np.savez(out, **{name: value for name, value in members.items()
+                         if not isinstance(value, bytes)})
+    with zipfile.ZipFile(path, "a") as archive:
+        for name, value in members.items():
+            if isinstance(value, bytes):
+                archive.writestr(f"{name}.npy", value)
     with pytest.raises(ValueError) as err:
         load_model(path)
     return str(err.value).removeprefix(f"{path}: ")
@@ -1018,6 +1025,13 @@ def archive_error(tmp_path, **changes):
 
 def utf8(text):
     return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def npy(array):
+    """The bytes of ``array``'s .npy file."""
+    out = io.BytesIO()
+    np.save(out, array)
+    return out.getvalue()
 
 
 def config_json(drop=(), **changes):
@@ -1056,6 +1070,11 @@ MEMBERS = ("['config.npy', 'counts.npy', 'inputs.npy', 'nodes.npy', "
      "member counts has shape (2,), expected (3,)"),
     ({"words": np.ones((1, 3), dtype=np.uint8)},
      "member words has shape (1, 3), expected (3,)"),
+    # a header that claims 48 bytes of data, of which the member holds 40;
+    # the member's CRC-32 is that of its bytes
+    ({"inputs": npy(SMALL_MODEL.input_vectors)[:-8]},
+     "bad model archive: member inputs.npy holds 40 bytes for an array of "
+     "shape (3, 2) and dtype float64"),
     ({"inputs": np.array([[1.0, 2.0], [3.0, np.nan], [5.0, 6.0]])},
      "non-finite vector entry"),
     ({"nodes": np.array([[0.0, 0.0], [-np.inf, 0.0]])},
@@ -1086,13 +1105,29 @@ MEMBERS = ("['config.npy', 'counts.npy', 'inputs.npy', 'nodes.npy', "
       for values, message in BAD_CONFIG_RANGES.values())],
     ids=["missing-member", "extra-member", "object-array", "inputs-dtype",
          "counts-dtype", "unicode-words", "inputs-1d", "no-words",
-         "nodes-shape", "counts-shape", "words-2d", "nan-vector",
-         "inf-node", "count-0", "fewer-words", "more-words", "words-utf8",
-         "config-json", "config-list", "config-unknown", "config-missing",
-         "config-str", "config-bool", "config-null", "config-mode",
-         "config-dim", *BAD_CONFIG_RANGES])
+         "nodes-shape", "counts-shape", "words-2d", "inputs-short-data",
+         "nan-vector", "inf-node", "count-0", "fewer-words", "more-words",
+         "words-utf8", "config-json", "config-list", "config-unknown",
+         "config-missing", "config-str", "config-bool", "config-null",
+         "config-mode", "config-dim", *BAD_CONFIG_RANGES])
 def test_load_rejects_bad_archive(tmp_path, changes, message):
     assert archive_error(tmp_path, **changes) == message
+
+
+@pytest.mark.parametrize("inputs, nodes, message", [
+    (np.ones((2, 2)), np.ones((1, 2)),
+     "input matrix shape inconsistent with vocab/config"),
+    (np.ones((3, 3)), np.ones((2, 3)),
+     "input matrix shape inconsistent with vocab/config"),
+    (np.ones((3, 2)), np.ones((3, 2)),
+     "node matrix shape inconsistent with vocab")],
+    ids=["inputs-rows", "inputs-width", "nodes"])
+def test_model_rejects_inconsistent_shapes(inputs, nodes, message):
+    """A model's matrices must agree with its vocabulary, of 3 words, and
+    with its config's dim of 2."""
+    with pytest.raises(ValueError) as err:
+        EmbeddingModel(inputs, nodes, SMALL_MODEL.vocab, SMALL_MODEL.config)
+    assert str(err.value) == message
 
 
 def test_load_rejects_repeated_word_binary(tmp_path):
@@ -1171,3 +1206,7 @@ def test_train_with_prebuilt_vocab(tiny_corpus):
     vocab = build_vocabulary(tiny_corpus, max_size=5)
     model = train(tiny_corpus, TrainingConfig(dim=4, epochs=1), vocab=vocab)
     assert len(model.vocab) == 5
+    absent = vocab_from_counts({"cat": 2, "mouse": 1})
+    with pytest.raises(ValueError) as err:
+        train(tiny_corpus, TrainingConfig(dim=4, epochs=1), vocab=absent)
+    assert str(err.value) == "corpus has no in-vocabulary tokens"
