@@ -32,8 +32,11 @@ SOURCE = Path(__file__).with_name("_hs.c")
 # vectorised elementwise loops, which round each element as -O2 does
 COMPILE = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
-_I32, _I64, _F64 = (np.ctypeslib.ndpointer(dtype=t, flags="C_CONTIGUOUS")
-                    for t in (np.int32, np.int64, np.float64))
+# C reads each double through a double *: an array at an offset that is no
+# multiple of 8, such as a loaded model's node matrix, is refused
+_I32, _I64 = (np.ctypeslib.ndpointer(dtype=t, flags="C_CONTIGUOUS")
+              for t in (np.int32, np.int64))
+_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,ALIGNED")
 _INT, _LONG, _DOUBLE = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 # paths (starts, nodes, targets), inputs, nodes, work, dim, window, cbow
 _SHARED = (_I64, _I32, _F64, _F64, _F64, _F64, _LONG, _LONG, _INT)

@@ -13,6 +13,7 @@ from . import corpus as corpus_mod
 from . import evaluation, metonymy, ranking
 from .embeddings import (CBOW, SKIPGRAM, TrainingConfig, TrainStats,
                          load_model, save_model, train)
+from .files import whole_file
 from .vectorspace import analogy, cosine_similarity, nearest_neighbours
 
 log = logging.getLogger(__name__)
@@ -34,7 +35,7 @@ def cmd_vocab(args):
     corp = corpus_mod.load_corpus(args.corpus, args.format)
     vocab = corpus_mod.build_vocabulary(corp, config.max_vocab,
                                         config.min_count)
-    with open(args.output, "w", encoding="utf-8") as out:
+    with whole_file(args.output, encoding="utf-8") as out:
         for word, count in zip(vocab.words, vocab.counts):
             out.write(f"{word}\t{count}\n")
     print(f"wrote {len(vocab)} words to {args.output}")
@@ -175,7 +176,7 @@ def cmd_eval(args):
 
 
 def _write_pr_csv(points, path):
-    with open(path, "w", encoding="utf-8") as out:
+    with whole_file(path, encoding="utf-8") as out:
         out.write("rank,precision,recall\n")
         for p in points:
             out.write(f"{p.rank},{p.precision:.6f},{p.recall:.6f}\n")

@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import mmap
+import os
 import struct
 import sys
 import time
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import _hs
 from .corpus import Vocabulary, build_vocabulary
+from .files import whole_file
 from .huffman import HuffmanTree, build_huffman_tree
 
 log = logging.getLogger(__name__)
@@ -126,6 +128,9 @@ class TrainStats:
 @dataclass
 class EmbeddingModel:
     """Learned input vectors (V x D) plus internal-node vectors ((V-1) x D).
+
+    A loaded model's ``node_vectors`` is a copy-on-write view of its
+    file (see ``load_model``).
 
     The first neighbour or analogy query keeps the row norms of
     ``input_vectors`` in ``input_norms``, next to the array they were
@@ -279,7 +284,9 @@ def train_example_skipgram(model, tree, focus, sentence_ids, lr,
 def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
     """``hs_example`` of ``_hs.c``, the step ``train`` runs, at ``focus``;
     C checks no bounds, so the ids, tree and window are checked first, and
-    ``work`` is sized from ``tree`` (see ``_work``)."""
+    ``work`` is sized from ``tree`` (see ``_work``).  A node matrix that
+    is not aligned for C, as a loaded model's view of its file is not, is
+    first replaced by an aligned copy of its own."""
     window = model.config.window if window is None else window
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -292,6 +299,8 @@ def _train_example(model, tree, focus, sentence_ids, lr, window, stats, cbow):
         raise IndexError(f"focus {focus} outside a sentence of {len(ids)}")
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError(f"word id outside [0, {vocab_size})")
+    if not model.node_vectors.flags.aligned:
+        model.node_vectors = model.node_vectors.copy()
     counts = np.zeros(4, dtype=np.int64)
     # as in train: a window as long as the sentence reaches all of it
     trained = _hs.library().hs_example(
@@ -406,7 +415,9 @@ def save_model(model: EmbeddingModel, path):
     earliest zip date, not the time of writing, so one model saved twice
     gives the same bytes.  A word holding a line break cannot be stored
     and raises ValueError; no reader yields one.  Neither can a non-finite
-    vector or node entry, which ``load_model`` refuses.
+    vector or node entry, which ``load_model`` refuses.  The archive
+    replaces the file at ``path`` whole (``files.whole_file``): a failed
+    write leaves the old file, and a process that has it loaded, intact.
     """
     for label, array in (("vector", model.input_vectors),
                          ("node", model.node_vectors)):
@@ -426,7 +437,7 @@ def save_model(model: EmbeddingModel, path):
         "config": _utf8(json.dumps(config)),
     }
     # through a handle: given a path, np.savez would append ".npz"
-    with open(path, "wb") as out:
+    with whole_file(path, "wb") as out:
         np.savez(out, **members)
 
 
@@ -442,7 +453,14 @@ def load_model(path) -> EmbeddingModel:
     ``path: bad model archive: File is not a zip file``.  Each member's
     CRC-32 is checked with ``libdeflate_crc32`` of the system's
     ``libdeflate.so.0`` where that loads, else with ``zlib.crc32``: the
-    values, and so the errors, are the same either way."""
+    values, and so the errors, are the same either way.
+
+    ``node_vectors``, which no query reads, is a view of the ``nodes``
+    member in a private copy-on-write mapping of the file, not a copy; it
+    is checked as the other members are.  A write to it stays in the
+    process.  Its data sits at an odd offset in the file, so it is not
+    aligned for C (``_train_example`` copies it before a step).  The
+    other members are copied out of the file."""
     # open outside the try: a missing file is an OSError, not a bad archive
     with open(path, "rb") as handle:
         try:
@@ -451,7 +469,8 @@ def load_model(path) -> EmbeddingModel:
                 expected = sorted(name + ".npy" for name in _MEMBER_DTYPES)
                 if names != expected:
                     raise ValueError(f"members {names}, expected {expected}")
-                arrays = {name: _read_member(archive, handle, name + ".npy")
+                arrays = {name: _read_member(archive, handle, name + ".npy",
+                                             mapped=name == "nodes")
                           for name in _MEMBER_DTYPES}
         # a cut or corrupt zip raises BadZipFile, a member whose data ends
         # early EOFError, a corrupt offset OSError, and a member flagged as
@@ -498,12 +517,13 @@ def load_model(path) -> EmbeddingModel:
     return EmbeddingModel(inputs, nodes, vocab, config)
 
 
-def _read_member(archive, handle, name) -> np.ndarray:
+def _read_member(archive, handle, name, mapped) -> np.ndarray:
     """The array in the uncompressed member ``name`` of ``archive``.  The
-    member is read from ``handle`` into one buffer and its CRC-32 checked,
-    as zipfile checks it, before the .npy header is parsed; the array is a
-    view of the buffer past the header.  np.load would copy the member
-    through a 256 KiB bytes object at a time."""
+    member is read from ``handle`` into one buffer, or, when ``mapped``,
+    taken as a view of a private copy-on-write mapping of its part of the
+    file, and its CRC-32 checked, as zipfile checks it, before the .npy header
+    is parsed; the array is a view of the buffer past the header.  np.load
+    would copy the member through a 256 KiB bytes object at a time."""
     info = archive.getinfo(name)
     with archive.open(info):  # checks the local header, flags and method
         pass
@@ -513,16 +533,29 @@ def _read_member(archive, handle, name) -> np.ndarray:
     # of the extra field that follow it
     handle.seek(info.header_offset + 26)
     name_size, extra_size = struct.unpack("<HH", handle.read(4))
-    handle.seek(info.header_offset + 30 + name_size + extra_size)
-    if info.file_size >= _OWN_MAPPING_BYTES:
-        buffer = mmap.mmap(-1, info.file_size, flags=mmap.MAP_PRIVATE)
-        if _MADV_HUGEPAGE is not None:
-            buffer.madvise(_MADV_HUGEPAGE)
-        member = np.frombuffer(buffer, np.uint8)
+    start = info.header_offset + 30 + name_size + extra_size
+    if mapped:
+        if os.fstat(handle.fileno()).st_size - start < info.file_size:
+            raise EOFError(f"member {name} ends early")
+        # the member's pages only: the kernel maps the pages around each
+        # one touched, which over the whole file would add other members'
+        # pages to the process.  They are the file's until written, then
+        # the process's own; the mapping lives as long as a view of it
+        skip = start % mmap.ALLOCATIONGRANULARITY
+        file = mmap.mmap(handle.fileno(), skip + info.file_size,
+                         access=mmap.ACCESS_COPY, offset=start - skip)
+        member = np.frombuffer(file, np.uint8)[skip:]
     else:
-        member = np.empty(info.file_size, dtype=np.uint8)
-    if handle.readinto(member) != info.file_size:
-        raise EOFError(f"member {name} ends early")
+        if info.file_size >= _OWN_MAPPING_BYTES:
+            buffer = mmap.mmap(-1, info.file_size, flags=mmap.MAP_PRIVATE)
+            if _MADV_HUGEPAGE is not None:
+                buffer.madvise(_MADV_HUGEPAGE)
+            member = np.frombuffer(buffer, np.uint8)
+        else:
+            member = np.empty(info.file_size, dtype=np.uint8)
+        handle.seek(start)
+        if handle.readinto(member) != info.file_size:
+            raise EOFError(f"member {name} ends early")
     if _crc32()(member) != info.CRC:
         raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
     # numpy reads at most 10000 header bytes

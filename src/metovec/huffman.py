@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,40 +46,60 @@ class HuffmanTree:
 def build_huffman_tree(vocab) -> HuffmanTree:
     """Build the Huffman tree over vocabulary frequencies.
 
-    Deterministic: heap ties are resolved by lowest node id first, where
-    leaves carry their vocabulary ids and internal nodes are numbered in
-    creation order from ``len(vocab)`` upward.
+    Deterministic: each merge takes the two nodes of lowest count, ties
+    resolved by lowest node id first, where leaves carry their vocabulary
+    ids and internal nodes are numbered in creation order from
+    ``len(vocab)`` upward.  As in ``word2vec.c``, the nodes come from two
+    queues, each in that order: the leaves, sorted by (count, id), and the
+    internal nodes, whose counts never fall as they are made.  A tie
+    between the queues' heads goes to the leaf, whose id is lower.
     """
-    n = len(vocab)
+    counts = vocab.counts
+    n = len(counts)
     if n < 2:
         raise ValueError("need at least 2 vocabulary words to build a tree")
-    # heap entries: (count, node_id); node ids < n are leaves
-    heap = [(count, idx) for idx, count in enumerate(vocab.counts)]
-    heapq.heapify(heap)
+    leaves = sorted(range(n), key=counts.__getitem__)  # stable: (count, id)
+    merged = []  # the counts of the internal nodes, in creation order
+    taken = []  # node ids in the order merges take them, in pairs
+    leaf = internal = 0  # the head of each queue
+    for _ in range(n - 1):
+        total = 0
+        for _ in range(2):
+            if internal == len(merged) or (
+                    leaf < n and counts[leaves[leaf]] <= merged[internal]):
+                total += counts[leaves[leaf]]
+                taken.append(leaves[leaf])
+                leaf += 1
+            else:
+                total += merged[internal]
+                taken.append(n + internal)
+                internal += 1
+        merged.append(total)
     root = 2 * n - 2
-    parent = [0] * root
-    target = [1.0] * root  # 1 - the branch bit into each node
-    for node in range(n, root + 1):
-        c0, left = heapq.heappop(heap)
-        c1, right = heapq.heappop(heap)
-        parent[left] = parent[right] = node
-        target[right] = 0.0
-        heapq.heappush(heap, (c0 + c1, node))
-    # a node's id is below its parent's, so depths fill from the root down
-    depth = [0] * (root + 1)
-    for node in range(root - 1, -1, -1):
-        depth[node] = depth[parent[node]] + 1
+    # each pair taken is the left, then the right child of the next node
+    parent = np.full(root + 1, root)
+    parent[taken] = n + np.arange(root) // 2
+    target = np.ones(root + 1)  # 1 - the branch bit into each node
+    target[taken[1::2]] = 0.0
+    # depths by pointer jumping: depth[x] is the distance from x to up[x]
+    depth = np.ones(root + 1, dtype=np.int64)
+    depth[root] = 0
+    up = parent
+    while (up != root).any():
+        depth += depth[up]
+        up = up[up]
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(depth[:n], out=starts[1:])
-    nodes = [0] * int(starts[-1])
-    targets = [0.0] * int(starts[-1])
-    for leaf, end in enumerate(starts[1:].tolist()):
-        node = leaf
-        while node != root:  # the path, written backwards from its end
-            end -= 1
-            nodes[end], targets[end] = parent[node] - n, target[node]
-            node = parent[node]
-    arrays = (starts, np.array(nodes, dtype=np.int32), np.array(targets))
+    nodes = np.empty(starts[-1], dtype=np.int32)
+    targets = np.empty(starts[-1])
+    # every path at once, written backwards from its end, one level a pass
+    node, end = np.arange(n), starts[1:] - 1
+    while node.size:
+        nodes[end], targets[end] = parent[node] - n, target[node]
+        node, end = parent[node], end - 1
+        below_root = node != root
+        node, end = node[below_root], end[below_root]
+    arrays = (starts, nodes, targets)
     for array in arrays:
         array.flags.writeable = False
     return HuffmanTree(*arrays)

@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metovec
 from metovec.corpus import Vocabulary
 from metovec.embeddings import EmbeddingModel, TrainingConfig
 
@@ -29,6 +32,14 @@ BAD_SENTENCE_INDICES = {
     "letter": "x", "empty": "", "minus": "-1", "plus": "+0", "space": " 0",
     "underscore": "0_0", "arabic-indic-zero": "\u0660",
 }
+
+
+def child_environ():
+    """The environment of a child ``python``, with this checkout's
+    package first on its path."""
+    source = str(Path(metovec.__file__).resolve().parent.parent)
+    return os.environ | {"PYTHONPATH": os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 @pytest.fixture

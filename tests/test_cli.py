@@ -12,14 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import metovec
+from metovec import _hs
 from metovec.cli import build_parser, main
 from metovec.corpus import load_corpus
 from metovec.embeddings import TrainingConfig, load_model, save_model
 from metovec.metonymy import DEFAULT_VERBS, CandidateSentence
 from metovec.ranking import RankingTable, rank, write_table
 
-from conftest import (BAD_CONFIG_RANGES, PROVERB, make_model,
+from conftest import (BAD_CONFIG_RANGES, PROVERB, child_environ, make_model,
                       write_vertical)
 from test_metonymy import rescan_candidates, rescan_targets
 
@@ -118,6 +118,55 @@ def test_cmd_vocab(tmp_path, capsys):
     assert len(lines) == 7
     counts = [int(line.split("\t")[1]) for line in lines]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_cmd_vocab_to_stdout(chapter_corpus):
+    """An output that is not a regular file, such as /dev/stdout on a
+    pipe, is written in place, not replaced."""
+    done = subprocess.run(
+        [sys.executable, "-m", "metovec.cli", "vocab",
+         "--corpus", str(chapter_corpus), "--output", "/dev/stdout"],
+        env=child_environ(), capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "chapter\t3", "the\t3", "begin\t1", "discuss\t1", "read\t1",
+        "she\t1", "they\t1", "we\t1", "wrote 8 words to /dev/stdout"]
+
+
+# a command whose every file write stops at a size limit, as on a full disk
+LIMITED = """import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+from metovec.cli import main
+main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "vocab", "eval"])
+def test_failed_write_keeps_the_old_file(tmp_path, chapter_corpus, command):
+    """A write over an existing output that a file size limit cuts, set in
+    a child process only, fails with an error naming the output.  The old
+    file stays whole, a model still loads, and no temporary file is
+    left."""
+    _hs.library()  # built here: the child could not write it
+    out = tmp_path / "out" / "old"
+    out.parent.mkdir()
+    argv = {"train": ["train", "--corpus", str(chapter_corpus),
+                      "--dim", "8", "--epochs", "1", "--output", str(out)],
+            "vocab": ["vocab", "--corpus", str(chapter_corpus),
+                      "--output", str(out)],
+            "eval": ["eval", "--pr-csv", str(out)]}[command]
+    main(argv)
+    old = out.read_bytes()
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED, str(len(old) // 2), *argv],
+        env=child_environ(), capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        f"error: [Errno 27] File too large: '{out}'")
+    assert out.read_bytes() == old
+    assert os.listdir(out.parent) == ["old"]
+    if command == "train":
+        load_model(out)
 
 
 def test_cmd_vocab_missing_corpus(tmp_path):
@@ -289,12 +338,9 @@ def test_cmd_targets_into_a_closed_pipe(tmp_path):
     the pipe's buffer, so writes still follow the close."""
     corpus = write_vertical(tmp_path / "c.vert", CHAPTER_SENTENCES[:1] * 1000,
                             doc_id="d" * 2000)
-    source = str(Path(metovec.__file__).resolve().parent.parent)
-    environ = os.environ | {"PYTHONPATH": os.pathsep.join(
-        [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
     with subprocess.Popen(
             [sys.executable, "-m", "metovec.cli", "targets",
-             "--corpus", str(corpus)], env=environ,
+             "--corpus", str(corpus)], env=child_environ(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
         assert process.stdout.readline() == (
             b"d" * 2000 + b"\t0\tbegin\tchapter\n")

@@ -3,9 +3,11 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import struct
 import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -34,7 +36,7 @@ from metovec.embeddings import (CBOW, SKIPGRAM, EmbeddingModel,
 from metovec.huffman import build_huffman_tree
 from metovec.vectorspace import nearest_neighbours
 
-from conftest import BAD_CONFIG_RANGES, make_model
+from conftest import BAD_CONFIG_RANGES, child_environ, make_model
 from test_huffman import same_tree, vocab_from_counts
 
 
@@ -909,8 +911,9 @@ def test_flipped_bit_in_large_member_header_is_located(tmp_path, crc32):
 
 @pytest.fixture(scope="module")
 def full_size_model(tmp_path_factory):
-    """A V=10,000, D=100 model of random vectors and nodes, saved: each of
-    its two 8 MB matrices is read into a mapping of its own."""
+    """A V=10,000, D=100 model of random vectors and nodes, saved: its
+    8 MB input matrix is read into a mapping of its own, and its 8 MB node
+    matrix is checked in a mapping of the file."""
     rng = np.random.default_rng(0)
     model = make_model({f"w{i}": row for i, row in
                         enumerate(rng.normal(size=(10_000, 100)))})
@@ -922,10 +925,10 @@ def full_size_model(tmp_path_factory):
 
 def test_full_size_model_round_trip(full_size_model, crc32):
     """The zip's CRC-32s, written by zlib, match the chosen function's over
-    8 MB of random bytes in a member's own mapping."""
+    8 MB of random bytes in a member's own mapping and in the file's."""
     model, path = full_size_model
     loaded = load_model(path)
-    assert loaded.node_vectors.nbytes >= embeddings._OWN_MAPPING_BYTES
+    assert loaded.input_vectors.nbytes >= embeddings._OWN_MAPPING_BYTES
     assert np.array_equal(loaded.input_vectors, model.input_vectors)
     assert np.array_equal(loaded.node_vectors, model.node_vectors)
 
@@ -933,7 +936,8 @@ def test_full_size_model_round_trip(full_size_model, crc32):
 @pytest.mark.parametrize("member", ["inputs.npy", "nodes.npy"])
 def test_flipped_bit_in_full_size_member_is_located(full_size_model, crc32,
                                                     member, tmp_path):
-    """A flipped bit in the middle of a member read into its own mapping."""
+    """A flipped bit in the middle of a member read into its own mapping
+    (inputs) or checked in the file's (nodes)."""
     archive = bytearray(full_size_model[1].read_bytes())
     with zipfile.ZipFile(io.BytesIO(archive)) as zipped:
         info = zipped.getinfo(member)
@@ -1114,6 +1118,25 @@ def test_load_rejects_bad_archive(tmp_path, changes, message):
     assert archive_error(tmp_path, **changes) == message
 
 
+@pytest.mark.parametrize("member", ["inputs", "nodes"])
+def test_load_rejects_member_past_the_end(tmp_path, member):
+    """A member whose size, in the central directory, runs past the end of
+    the file ends early, whether it is copied out (inputs) or mapped
+    (nodes)."""
+    archive = bytearray(small_archive())
+    # the central directory comes last; an entry's name is at offset 46,
+    # and its uncompressed size, which the reader takes, at offset 24
+    entry = archive.rfind(f"{member}.npy".encode()) - 46
+    assert archive[entry:entry + 4] == b"PK\x01\x02"
+    struct.pack_into("<I", archive, entry + 24, len(archive))
+    path = tmp_path / "model"
+    path.write_bytes(archive)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: bad model archive: member "
+                              f"{member}.npy ends early")
+
+
 @pytest.mark.parametrize("inputs, nodes, message", [
     (np.ones((2, 2)), np.ones((1, 2)),
      "input matrix shape inconsistent with vocab/config"),
@@ -1171,6 +1194,52 @@ def test_binary_load_gives_writable_arrays(tmp_path):
         assert array.flags.writeable and array.flags.c_contiguous
     loaded.input_vectors[0, 0] = 9.0
     assert loaded.input_vectors[0, 0] == 9.0
+
+
+def test_step_on_loaded_model(tmp_path):
+    """A loaded model's node matrix is a view of its file's private
+    mapping, at an offset that is no multiple of 8.  A training step on
+    the model trains an aligned copy of it, as the same step trains the
+    model held in memory, and no write to the mapping reaches the file."""
+    path = tmp_path / "model"
+    save_model(random_model(), path)
+    saved = path.read_bytes()
+    loaded = load_model(path)
+    mapped = loaded.node_vectors
+    assert not mapped.flags.aligned and not mapped.flags.owndata
+    held = EmbeddingModel(loaded.input_vectors.copy(), mapped.copy(),
+                          loaded.vocab, loaded.config)
+    for model in (loaded, held):
+        assert train_example_skipgram(model, model.tree, 2,
+                                      [0, 1, 2, 3, 4, 5], 0.1)
+    assert loaded.node_vectors.flags.aligned
+    assert np.array_equal(loaded.node_vectors, held.node_vectors)
+    assert np.array_equal(loaded.input_vectors, held.input_vectors)
+    assert not np.array_equal(loaded.node_vectors, mapped)
+    mapped += 1.0
+    assert path.read_bytes() == saved
+
+
+def test_save_over_the_loaded_file(tmp_path):
+    """A model saved over the file it was loaded from gives the same bytes.
+    Its node matrix is a view of that file: a write in place would cut
+    the file under it and kill the process with SIGBUS, so the round runs
+    in a child process."""
+    rng = np.random.default_rng(0)
+    model = make_model({f"w{i}": row for i, row in
+                        enumerate(rng.normal(size=(2000, 50)))})
+    model.node_vectors[:] = rng.normal(size=model.node_vectors.shape)
+    path = tmp_path / "model"
+    save_model(model, path)
+    saved = path.read_bytes()
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from metovec.embeddings import "
+         "load_model, save_model; save_model(load_model(sys.argv[1]), "
+         "sys.argv[1])", str(path)],
+        env=child_environ(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert path.read_bytes() == saved
+    assert os.listdir(tmp_path) == ["model"]
 
 
 def test_archive_config_takes_integer_float(tmp_path):

@@ -146,10 +146,17 @@ def reference_tree(counts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=2, max_size=60))
-def test_matches_reference_builder(counts):
-    """Counts of 1-5 over up to 60 words tie often, so the tie rule shows."""
-    vocab = vocab_from_counts({f"w{i}": c for i, c in enumerate(counts)})
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=60), st.booleans())
+def test_matches_reference_builder(counts, ranked):
+    """Counts of 1-5 over up to 60 words tie often, so the tie rule shows.
+    A vocabulary built by hand or read from a model need not be ranked by
+    count, so the counts are also taken in the order drawn."""
+    if ranked:
+        vocab = vocab_from_counts({f"w{i}": c for i, c in enumerate(counts)})
+    else:
+        vocab = Vocabulary(words=tuple(f"w{i}" for i in range(len(counts))),
+                           counts=tuple(counts), total_tokens=sum(counts),
+                           max_size=len(counts))
     tree = build_huffman_tree(vocab)
     codes, paths = reference_tree(vocab.counts)
     assert tree.starts.dtype == np.int64 and tree.nodes.dtype == np.int32
