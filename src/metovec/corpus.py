@@ -5,6 +5,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from sys import intern
 
@@ -36,21 +37,23 @@ def sentence_index(path, lineno, field) -> int:
     return int(field)
 
 
-def numbered_lines(path):
-    """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``,
-    counting from 1, its end removed: the one line reader of every text
-    input.  The file is read once, in text mode, so any file that opens
-    may be read, a pipe too.  A leading byte order mark is skipped
+def numbered_blocks(path):
+    """Yield ``(first_lineno, lines)`` for each block of the UTF-8 file at
+    ``path``: its lines, their ends removed, the first of them line
+    ``first_lineno``, counting from 1.  This is the one reader of every
+    text input.  The file is read once, in text mode, so any file that
+    opens may be read, a pipe too.  A leading byte order mark is skipped
     (``utf-8-sig``), and LF, CR and CRLF each end a line, as text mode's
     universal newlines read them; no other character does.
 
     Each block is ``BLOCK_SIZE`` characters and then ``readline()``, which
     completes the block's last line, however long.  A byte that does not
     decode is read as a surrogate escape, so a block that does not encode
-    strictly holds one: the lines before its line are yielded, and its
-    line raises ``path:line: not UTF-8: ...``, from decoding that line's
-    own bytes, so the position is counted from the start of the line.  An
-    error the caller finds on an earlier line is thus raised first."""
+    strictly holds one: the lines before its line are yielded as a block
+    of their own, and its line raises ``path:line: not UTF-8: ...``, from
+    decoding that line's own bytes, so the position is counted from the
+    start of the line.  An error the caller finds on an earlier line is
+    thus raised first."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape",
               newline=None) as handle:
         lineno = 1
@@ -62,21 +65,31 @@ def numbered_lines(path):
                 block.encode()  # strictly, so an escaped byte fails
             except UnicodeEncodeError:
                 # the line of an escaped byte does not decode: this raises
-                for lineno, line in enumerate(lines, lineno):
+                for bad, line in enumerate(lines):
                     try:
                         line.encode("utf-8", "surrogateescape").decode()
                     except UnicodeDecodeError as exc:
+                        if bad:
+                            yield lineno, lines[:bad]
                         raise CorpusFormatError(
-                            path, lineno, f"not UTF-8: {exc}") from None
-                    yield lineno, line
-            yield from enumerate(lines, lineno)
+                            path, lineno + bad, f"not UTF-8: {exc}") from None
+            yield lineno, lines
             lineno += len(lines)
 
 
-@dataclass(frozen=True)
+def numbered_lines(path):
+    """Yield ``(lineno, line)`` for each line of the UTF-8 file at ``path``:
+    the lines of ``numbered_blocks``, one at a time, with its rules and
+    errors."""
+    for first, lines in numbered_blocks(path):
+        yield from enumerate(lines, first)
+
+
+@dataclass(slots=True)
 class Sentence:
     """One sentence as three parallel columns: surface forms, lowercased
-    lemmas and coarse POS tags."""
+    lemmas and coarse POS tags.  A slots record, compared by value and not
+    hashable; a frozen one costs ~1 us more per sentence to build."""
 
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
@@ -120,23 +133,24 @@ def _read_vertical(path):
     index = 0
     pending = []  # (surface, lemma, tag) rows of the open sentence
     parsed = {}  # each distinct token line, by its text: its row
-    for lineno, line in numbered_lines(path):
-        row = parsed.get(line)
-        if row is None:
-            # a #doc marker or a blank line ends the open sentence.  A token
-            # line has tabs, so "#doc x<TAB>..." is a token
-            marker = line.startswith("#doc ") and "\t" not in line
-            if marker or not line.strip():
-                if pending:
-                    yield Sentence(*zip(*pending), doc_id, index)
-                    pending = []
-                    index += 1
-                if marker:
-                    doc_id = line[len("#doc "):].strip()
-                    index = 0
-                continue
-            row = parsed[line] = _token_row(path, lineno, line)
-        pending.append(row)
+    for first, lines in numbered_blocks(path):
+        for lineno, line in enumerate(lines, first):
+            row = parsed.get(line)
+            if row is None:
+                # a #doc marker or a blank line ends the open sentence.  A
+                # token line has tabs, so "#doc x<TAB>..." is a token
+                marker = line.startswith("#doc ") and "\t" not in line
+                if marker or not line.strip():
+                    if pending:
+                        yield Sentence(*zip(*pending), doc_id, index)
+                        pending = []
+                        index += 1
+                    if marker:
+                        doc_id = line[len("#doc "):].strip()
+                        index = 0
+                    continue
+                row = parsed[line] = _token_row(path, lineno, line)
+            pending.append(row)
     if pending:
         yield Sentence(*zip(*pending), doc_id, index)
 
@@ -165,10 +179,12 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     whitespace-tokenized, with lemma = lowercased surface and pos = OTHER
     (PUNCT for punctuation-only tokens).  ``path`` may name any file that
     opens for reading, such as a named pipe or ``/dev/stdin``: both readers
-    take its lines from ``numbered_lines``, which reads it once in text
+    take its lines from ``numbered_blocks``, which reads it once in text
     mode, in blocks of ``BLOCK_SIZE`` characters each completed to a line
     end by ``readline``, and locates a byte that is not UTF-8, read as a
-    surrogate escape, by line on any file.
+    surrogate escape, by line on any file.  The plain reader takes them
+    one at a time from ``numbered_lines``; the vertical reader loops over
+    each block's lines itself, which saves resuming a generator per line.
 
     The vertical reader looks each line up in a table of the token lines
     it has read, keyed by their text.  Only a line not in the table is
@@ -220,20 +236,26 @@ class Vocabulary:
 
 
 def build_vocabulary(corpus, max_size: int, min_count: int = 1) -> Vocabulary:
-    """Count lemmas and keep the top ``max_size`` at or above ``min_count``."""
+    """Count lemmas and keep the top ``max_size`` at or above ``min_count``,
+    in descending count, ties by ascending lemma (code point order).
+    ``corpus`` may be any iterable of sentences, a one-shot generator
+    too: it is read once."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter()
-    for sentence in corpus:
-        counts.update(sentence.lemmas)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    kept = [(w, c) for w, c in ranked if c >= min_count][:max_size]
+    counts = Counter(chain.from_iterable(
+        sentence.lemmas for sentence in corpus))
+    # ascending, then a stable sort by descending count: the order of
+    # (-count, lemma), with no key tuple or lambda call per word
+    words = sorted(counts)
+    words.sort(key=counts.__getitem__, reverse=True)
+    # counts descend, so the words under min_count are a suffix
+    kept = [w for w in words[:max_size] if counts[w] >= min_count]
     return Vocabulary(
-        words=tuple(w for w, _ in kept),
-        counts=tuple(c for _, c in kept),
-        total_tokens=sum(counts.values()),
+        words=tuple(kept),
+        counts=tuple(map(counts.__getitem__, kept)),
+        total_tokens=counts.total(),
         max_size=max_size,
     )
 
@@ -253,14 +275,17 @@ class NextWordCounts:
 
 def next_word_counts(corpus, vocab: Vocabulary) -> NextWordCounts:
     """Count immediate successors within sentences; OOV tokens are skipped
-    both as focus and as successor, and no pairs cross sentence boundaries."""
+    both as focus and as successor, and no pairs cross sentence boundaries.
+    ``corpus`` may be any iterable of sentences: it is read once."""
     rows: dict[str, dict[str, int]] = {}
     known = vocab.index
     for sentence in corpus:
         lemmas = sentence.lemmas
         for focus, follower in zip(lemmas, lemmas[1:]):
-            if focus not in known or follower not in known:
-                continue
-            row = rows.setdefault(focus, {})
-            row[follower] = row.get(follower, 0) + 1
+            if focus in known and follower in known:
+                row = rows.get(focus)
+                if row is None:
+                    rows[focus] = {follower: 1}
+                else:
+                    row[follower] = row.get(follower, 0) + 1
     return NextWordCounts(rows, vocab)

@@ -460,7 +460,10 @@ def load_model(path) -> EmbeddingModel:
     is checked as the other members are.  A write to it stays in the
     process.  Its data sits at an odd offset in the file, so it is not
     aligned for C (``_train_example`` copies it before a step).  The
-    other members are copied out of the file."""
+    mapping holds a duplicate of the file's descriptor (Python before
+    3.13 has no ``trackfd=False``), so each loaded model keeps one
+    descriptor open while ``node_vectors`` lives.  The other members are
+    copied out of the file."""
     # open outside the try: a missing file is an OSError, not a bad archive
     with open(path, "rb") as handle:
         try:

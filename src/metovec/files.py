@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import stat
+import sys
 
 
 @contextlib.contextmanager
@@ -20,13 +22,22 @@ def whole_file(path, mode="w", encoding=None):
     bits, as it would if written in place.
 
     A symlink is written through to the file it points to.  A ``path`` that
-    exists and is not a regular file, such as ``/dev/stdout``, ``/dev/null``
-    or a named pipe, is written in place: renaming onto it would replace the
-    device or pipe with a regular file."""
+    is the process's own standard output (the file of descriptor 1), such
+    as ``/dev/stdout`` on a pipe or redirected to a file, is written through
+    ``sys.stdout``'s buffer, after what was printed before and before what
+    is printed after.  Any other ``path`` that exists and is not a regular
+    file, such as ``/dev/null`` or a named pipe, is written in place:
+    renaming onto it would replace the device or pipe with a regular
+    file."""
     try:
-        old = os.stat(path).st_mode
+        status = os.stat(path)
     except OSError:  # missing, or an error the open below reports
         old = None
+    else:
+        old = status.st_mode
+        if _is_stdout(status):
+            yield from _through_stdout(mode, encoding)
+            return
     if old is not None and not stat.S_ISREG(old):
         with open(path, mode, encoding=encoding) as out:
             yield out
@@ -49,3 +60,30 @@ def whole_file(path, mode="w", encoding=None):
         # gone once renamed; never made if the open failed
         with contextlib.suppress(OSError):
             os.remove(temporary)
+
+
+def _is_stdout(status):
+    """Whether ``status``, an ``os.stat`` result, is that of file
+    descriptor 1."""
+    try:
+        out = os.fstat(1)
+    except OSError:  # closed
+        return False
+    return (status.st_dev, status.st_ino) == (out.st_dev, out.st_ino)
+
+
+def _through_stdout(mode, encoding):
+    """Yield a writer onto ``sys.stdout``'s buffer: the buffer itself for a
+    binary ``mode``, else a text layer over it in ``encoding``, detached
+    once the block ends, so the buffer stays open."""
+    sys.stdout.flush()
+    if "b" in mode:
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
+    out = io.TextIOWrapper(sys.stdout.buffer, encoding=encoding)
+    try:
+        yield out
+        out.flush()
+    finally:
+        out.detach()

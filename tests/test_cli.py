@@ -132,6 +132,23 @@ def test_cmd_vocab_to_stdout(chapter_corpus):
         "she\t1", "they\t1", "we\t1", "wrote 8 words to /dev/stdout"]
 
 
+def test_cmd_vocab_to_stdout_redirected_to_a_file(tmp_path):
+    """/dev/stdout redirected to a regular file is the command's own
+    standard output: the word list and then the line that reports it both
+    reach the file, as they reach a pipe."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("The cat sat\nthe dog\n")
+    with open(tmp_path / "out.txt", "w") as out:
+        subprocess.run(
+            [sys.executable, "-m", "metovec.cli", "vocab", "--corpus",
+             str(corpus), "--format", "plain", "--output", "/dev/stdout"],
+            env=child_environ(), stdout=out, check=True)
+    assert (tmp_path / "out.txt").read_text().splitlines() == [
+        "the\t2", "cat\t1", "dog\t1", "sat\t1",
+        "wrote 4 words to /dev/stdout"]
+    assert sorted(os.listdir(tmp_path)) == ["c.txt", "out.txt"]
+
+
 # a command whose every file write stops at a size limit, as on a full disk
 LIMITED = """import resource, sys
 limit = int(sys.argv[1])

@@ -3,6 +3,7 @@ import re
 import string
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 from sys import intern
 from unittest import mock
@@ -308,6 +309,69 @@ def test_row_sum_matches_brute_force(tmp_path):
             expected += sum(1 for i in range(len(lemmas) - 1)
                             if lemmas[i] == focus and lemmas[i + 1] in vocab)
         assert sum(counts.rows.get(focus, {}).values()) == expected
+
+
+# lemmas from a small pool, so counts tie; "B" sorts before "a" by code
+# point, as the order rule sorts
+pooled_lemmas = st.lists(st.sampled_from(["a", "b", "c", "ab", "B", "é"]),
+                         min_size=1, max_size=6)
+
+
+def pooled_sentences(lemma_lists):
+    return [Sentence(tuple(lemmas), tuple(lemmas), ("OTHER",) * len(lemmas),
+                     "d", index)
+            for index, lemmas in enumerate(lemma_lists)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pooled_lemmas, max_size=6), st.integers(1, 7),
+       st.integers(1, 4))
+# a, b and c tie at the cut of max_size=2: the smaller lemmas stay
+@example([["c", "b", "a"], ["a", "b", "c"]], 2, 1)
+# b and c tie at the cut, and "é" falls under min_count
+@example([["b", "c", "a", "a"], ["b", "c", "é"]], 2, 2)
+def test_vocabulary_follows_the_order_rule(lemma_lists, max_size, min_count):
+    """Words sorted by (-count, lemma), those under min_count dropped, then
+    cut to max_size; total_tokens counts every token.  The corpus is a
+    one-shot generator, read once."""
+    sentences = pooled_sentences(lemma_lists)
+    counts = {}
+    for sentence in sentences:
+        for lemma in sentence.lemmas:
+            counts[lemma] = counts.get(lemma, 0) + 1
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    kept = [(w, c) for w, c in ranked if c >= min_count][:max_size]
+    vocab = build_vocabulary((s for s in sentences), max_size, min_count)
+    assert vocab.words == tuple(w for w, _ in kept)
+    assert vocab.counts == tuple(c for _, c in kept)
+    assert vocab.total_tokens == sum(counts.values())
+    assert vocab.max_size == max_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pooled_lemmas, max_size=6),
+       st.sets(st.sampled_from(["a", "b", "c", "ab", "B", "é"])))
+# "c" ends one sentence and starts the next: no pair (c, c)
+@example([["a", "c"], ["c", "a"]], {"a", "c"})
+def test_next_word_counts_match_adjacent_pairs(lemma_lists, known):
+    """Each row counts the in-vocabulary lemmas that follow its focus in
+    one sentence: a pair with an OOV word on either side is skipped, no
+    pair crosses a sentence and no row is empty.  The corpus is a one-shot
+    generator."""
+    sentences = pooled_sentences(lemma_lists)
+    pairs = Counter()
+    for sentence in sentences:
+        lemmas = sentence.lemmas
+        for i in range(len(lemmas) - 1):
+            if lemmas[i] in known and lemmas[i + 1] in known:
+                pairs[lemmas[i], lemmas[i + 1]] += 1
+    words = tuple(sorted(known))
+    vocab = Vocabulary(words=words, counts=(1,) * len(words),
+                       total_tokens=len(words), max_size=len(words) or 1)
+    rows = next_word_counts((s for s in sentences), vocab).rows
+    assert {(focus, follower): count for focus, row in rows.items()
+            for follower, count in row.items()} == pairs
+    assert all(rows.values())
 
 
 # one vertical field: any UTF-8 text without the tab and line-break

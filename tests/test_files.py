@@ -1,9 +1,13 @@
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from metovec.files import whole_file
+
+from conftest import child_environ
 
 
 def test_failed_block_keeps_the_old_file(tmp_path):
@@ -78,3 +82,27 @@ def test_longest_name_and_failed_open_name_the_output(tmp_path):
         with whole_file(missing):
             pass
     assert err.value.filename == str(missing)
+
+
+# print, write /dev/stdout through whole_file, print again
+THROUGH_STDOUT = """import sys
+from metovec.files import whole_file
+print("before")
+with whole_file("/dev/stdout", sys.argv[1], encoding=sys.argv[2] or None) as out:
+    out.write("caf\\u00e9\\n".encode() if "b" in sys.argv[1] else "caf\\u00e9\\n")
+print("after")
+"""
+
+
+@pytest.mark.parametrize("mode, encoding", [("w", "utf-8"), ("wb", "")])
+def test_own_stdout_redirected_to_a_file_is_written_through(tmp_path, mode,
+                                                            encoding):
+    """/dev/stdout redirected to a regular file is the process's own
+    standard output: it is written through sys.stdout, between what was
+    printed before and after, not renamed over the file."""
+    with open(tmp_path / "out.txt", "wb") as out:
+        subprocess.run([sys.executable, "-c", THROUGH_STDOUT, mode, encoding],
+                       env=child_environ(), stdout=out, check=True)
+    assert (tmp_path / "out.txt").read_bytes() \
+        == "before\ncafé\nafter\n".encode()
+    assert os.listdir(tmp_path) == ["out.txt"]
