@@ -2,7 +2,8 @@
 ranking for verbal metonymy ("begin the book" -> "read the book")."""
 
 from .corpus import (CorpusFormatError, NextWordCounts, Sentence, Vocabulary,
-                     build_vocabulary, load_corpus, next_word_counts)
+                     build_vocabulary, load_corpus, next_word_counts,
+                     read_corpus)
 from .embeddings import (CBOW, SKIPGRAM, EmbeddingModel, EpochStats,
                          NotInVocabularyError, TrainingConfig, TrainStats,
                          init_model, leaf_probability, load_model,

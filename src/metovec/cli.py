@@ -32,7 +32,7 @@ def _training_config(args) -> TrainingConfig:
 
 def cmd_vocab(args):
     config = _training_config(args)
-    corp = corpus_mod.load_corpus(args.corpus, args.format)
+    corp = corpus_mod.read_corpus(args.corpus, args.format)
     vocab = corpus_mod.build_vocabulary(corp, config.max_vocab,
                                         config.min_count)
     with whole_file(args.output, encoding="utf-8") as out:
@@ -79,7 +79,7 @@ def cmd_query(args):
 
 
 def cmd_targets(args):
-    corp = corpus_mod.load_corpus(args.corpus)
+    corp = corpus_mod.read_corpus(args.corpus)
     targets = metonymy.find_targets(corp)
     for t in targets:
         doc_id, index = t.sentence_ref
@@ -88,9 +88,9 @@ def cmd_targets(args):
 
 
 def cmd_paraphrase(args):
-    corp = corpus_mod.load_corpus(args.corpus)
+    # indexed as it is read, before the model loads: a corpus error first
+    index = metonymy.index_corpus(corpus_mod.read_corpus(args.corpus))
     model = load_model(args.model)
-    index = metonymy.index_corpus(corp)
     if args.gold_targets:
         targets = metonymy.load_gold_targets(args.gold_targets, index)
     else:

@@ -170,18 +170,20 @@ def _read_plain(path):
         index += 1
 
 
-def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
-    """Read a corpus file into a tuple of sentences.
+def read_corpus(path, format: str = "vertical"):
+    """The sentences of a corpus file, as a generator that reads it once.
 
     ``vertical`` is one ``surface<TAB>lemma<TAB>pos`` token per line with
     blank lines between sentences and ``#doc <id>`` lines (with no tab)
     starting a new document.  ``plain`` is one sentence per line,
     whitespace-tokenized, with lemma = lowercased surface and pos = OTHER
-    (PUNCT for punctuation-only tokens).  ``path`` may name any file that
-    opens for reading, such as a named pipe or ``/dev/stdin``: both readers
-    take its lines from ``numbered_blocks``, which reads it once in text
-    mode, in blocks of ``BLOCK_SIZE`` characters each completed to a line
-    end by ``readline``, and locates a byte that is not UTF-8, read as a
+    (PUNCT for punctuation-only tokens).  A missing path or an unknown
+    format raises on the call, a malformed line when it is reached.
+    ``path`` may name any file that opens for reading, such as a named
+    pipe or ``/dev/stdin``: both readers take its lines from
+    ``numbered_blocks``, which reads it once in text mode, in blocks of
+    ``BLOCK_SIZE`` characters each completed to a line end by
+    ``readline``, and locates a byte that is not UTF-8, read as a
     surrogate escape, by line on any file.  The plain reader takes them
     one at a time from ``numbered_lines``; the vertical reader loops over
     each block's lines itself, which saves resuming a generator per line.
@@ -199,10 +201,16 @@ def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
     if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
     if format == "vertical":
-        return tuple(_read_vertical(path))
+        return _read_vertical(path)
     if format == "plain":
-        return tuple(_read_plain(path))
+        return _read_plain(path)
     raise ValueError(f"unknown corpus format {format!r}")
+
+
+def load_corpus(path, format: str = "vertical") -> tuple[Sentence, ...]:
+    """The tuple of ``read_corpus``, for a caller that reads it twice, as
+    ``train`` does; ``vocab``, ``targets`` and ``paraphrase`` stream."""
+    return tuple(read_corpus(path, format))
 
 
 @dataclass

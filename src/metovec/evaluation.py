@@ -45,15 +45,6 @@ class PRPoint:
     recall: float
 
 
-def _paired(first, second, first_name, second_name):
-    """zip of two parallel sequences that must have the same length."""
-    first, second = list(first), list(second)
-    if len(first) != len(second):
-        raise ValueError(f"{len(first)} {first_name} but "
-                         f"{len(second)} {second_name}")
-    return zip(first, second, strict=True)
-
-
 def confusion(labels, gold, unscored="exclude") -> ConfusionMatrix:
     """Tally predictions (positive iff label == Viable) against gold.
 
@@ -64,9 +55,11 @@ def confusion(labels, gold, unscored="exclude") -> ConfusionMatrix:
     """
     if unscored not in ("exclude", "true-negative"):
         raise ValueError(f"unknown unscored policy {unscored!r}")
+    labels, gold = list(labels), list(gold)
+    if len(labels) != len(gold):
+        raise ValueError(f"{len(labels)} labels but {len(gold)} gold labels")
     tp = tn = fp = fn = 0
-    for idx, (label, is_positive) in enumerate(
-            _paired(labels, gold, "labels", "gold labels")):
+    for idx, (label, is_positive) in enumerate(zip(labels, gold)):
         if label == NOT_IN_VOCAB:
             if unscored == "true-negative":
                 tn += 1

@@ -387,6 +387,26 @@ def test_cmd_paraphrase(tmp_path, chapter_corpus, trained_model):
     assert verbs == {"read", "discuss"}
 
 
+def test_cmd_paraphrase_corpus_error_before_model_error(tmp_path,
+                                                        chapter_corpus,
+                                                        capsys):
+    """The corpus is read and indexed before the model is loaded: with a
+    malformed corpus and a missing model, the corpus's located error is
+    the one reported, and no table directory is made."""
+    lines = chapter_corpus.read_text().splitlines()
+    lines[2] = "begin\tbegin"
+    chapter_corpus.write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "tables"
+    with pytest.raises(SystemExit) as err:
+        main(["paraphrase", "--corpus", str(chapter_corpus),
+              "--model", str(tmp_path / "missing.model"),
+              "--output-dir", str(outdir)])
+    assert err.value.code == (f"error: {chapter_corpus}:3: expected 3 "
+                              "tab-separated fields, got 2")
+    assert capsys.readouterr().out == ""
+    assert not outdir.exists()
+
+
 def test_cmd_paraphrase_gold_targets(tmp_path, chapter_corpus,
                                      trained_model):
     gold = tmp_path / "gold.tsv"

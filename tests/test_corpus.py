@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from metovec import corpus as corpus_module
 from metovec.corpus import (COARSE_TAGS, CorpusFormatError, Sentence,
                             Vocabulary, build_vocabulary, load_corpus,
-                            next_word_counts)
+                            next_word_counts, read_corpus)
 from metovec.evaluation import load_fixture
 from metovec.metonymy import load_gold_targets
 
@@ -85,6 +85,21 @@ def test_empty_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nope.txt", "plain")
+
+
+def test_read_corpus_checks_path_and_format_when_called(tmp_path):
+    """A missing path and an unknown format raise on the call, before any
+    sentence is asked for; an existing file is not yet opened."""
+    with pytest.raises(FileNotFoundError, match="corpus file not found: "):
+        read_corpus(tmp_path / "nope.vert", "vertical")
+    path = tmp_path / "c.vert"
+    path.write_text("A\ta\tDET\n")
+    with pytest.raises(ValueError, match="unknown corpus format 'conll'"):
+        read_corpus(path, "conll")
+    with mock.patch("builtins.open") as opened:
+        stream = read_corpus(path, "plain")
+    opened.assert_not_called()
+    assert [s.lemmas for s in stream] == [("a", "a", "det")]
 
 
 def test_any_file_that_opens_is_read():
@@ -418,8 +433,9 @@ def test_vertical_round_trip(leading_blanks, unmarked, documents):
 
 def vertical_oracle(path, text):
     """The vertical format's rules, one check at a time: the sentences of
-    ``text`` as (tokens, lemmas, tags, doc_id, index) tuples, or the
-    message of its first malformed line."""
+    ``text`` as (tokens, lemmas, tags, doc_id, index) tuples, and None or
+    the message of its first malformed line, with only the sentences
+    ended before that line."""
     # a leading byte order mark is skipped; a later U+FEFF is text
     lines = re.split("\r\n|\r|\n", text.removeprefix("\ufeff"))
     if lines[-1] == "":  # the end of the last line starts no line
@@ -442,19 +458,19 @@ def vertical_oracle(path, text):
         else:
             fields = line.split("\t")
             if len(fields) != 3:
-                return (f"{path}:{lineno}: expected 3 tab-separated "
-                        f"fields, got {len(fields)}")
+                return sentences, (f"{path}:{lineno}: expected 3 "
+                                   f"tab-separated fields, got {len(fields)}")
             surface, lemma, pos = fields
             if not surface:
-                return f"{path}:{lineno}: empty surface form"
+                return sentences, f"{path}:{lineno}: empty surface form"
             if not lemma:
-                return f"{path}:{lineno}: empty lemma"
+                return sentences, f"{path}:{lineno}: empty lemma"
             if pos not in COARSE_TAGS:
-                return f"{path}:{lineno}: unknown POS tag {pos!r}"
+                return sentences, f"{path}:{lineno}: unknown POS tag {pos!r}"
             rows.append((surface, lemma.lower(), pos))
     if rows:
         close()
-    return sentences
+    return sentences, None
 
 
 tag = st.sampled_from(sorted(COARSE_TAGS))
@@ -498,20 +514,33 @@ def vertical_text(draw):
     return text
 
 
+def columns(sentence):
+    return (sentence.tokens, sentence.lemmas, sentence.tags,
+            sentence.doc_id, sentence.index)
+
+
 def assert_format_rules(text):
     """The reader gives the sentences the format's rules give ``text``, or
-    their first error."""
+    their first error: ``load_corpus`` raises it, and ``read_corpus``
+    yields exactly the sentences ended before its line and then raises
+    it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.vert"
         path.write_bytes(text.encode())
-        expected = vertical_oracle(path, text)
-        if isinstance(expected, str):
+        expected, error = vertical_oracle(path, text)
+        streamed = []
+        if error is None:
+            assert [columns(s) for s in load_corpus(path, "vertical")] \
+                == expected
+            streamed.extend(map(columns, read_corpus(path, "vertical")))
+        else:
             with pytest.raises(CorpusFormatError) as err:
                 load_corpus(path, "vertical")
-            assert str(err.value) == expected
-        else:
-            assert [(s.tokens, s.lemmas, s.tags, s.doc_id, s.index)
-                    for s in load_corpus(path, "vertical")] == expected
+            assert str(err.value) == error
+            with pytest.raises(CorpusFormatError) as err:
+                streamed.extend(map(columns, read_corpus(path, "vertical")))
+            assert str(err.value) == error
+        assert streamed == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,6 +549,8 @@ def assert_format_rules(text):
 @example("A\ta\tDET\n#doc\tx\n")
 @example("A\ta\tDET\n\tb\tNOUN\n\nB\t\tNOUN\n")
 @example("\ufeffA\ta\tDET\n\ufeffB\tb\tNOUN\n")
+# the stream yields the ended sentences, not the open one, then the error
+@example("A\ta\tDET\n\n#doc d\nB\tb\tNOUN\n\nC\tc\tNOUN\nD\td\n")
 # a marker right after a token line ends its sentence, as a blank line does
 @example("A\ta\tDET\n#doc d\nB\tb\tNOUN\nC\tc\tNOUN\n#doc e\n")
 # a run of blank and whitespace-only lines ends one sentence
